@@ -139,6 +139,17 @@ def _transition_tables(spec: MdpSpec):
     return nexts, cums
 
 
+def _draw_start(rng: np.random.Generator, num_states: int, initial: int | None) -> int:
+    """The fixed start, or one uniform draw over the states when it is None."""
+    return int(rng.integers(num_states)) if initial is None else initial
+
+
+def _draw_successor(rng: np.random.Generator, nexts: np.ndarray, cum: np.ndarray) -> int:
+    """One inverse-CDF draw of a successor state from its cumulative probabilities."""
+    pick = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+    return int(nexts[pick])
+
+
 def q_update(
     qtable: np.ndarray,
     state: int,
@@ -171,18 +182,13 @@ def q_learning(spec: MdpSpec, config: QlConfig = QlConfig()) -> np.ndarray:
     q = np.zeros((spec.num_states, spec.num_actions))
     rewards = spec.rewards
     for _ in range(config.episodes):
-        if spec.initial is None:
-            s = int(rng.integers(spec.num_states))
-        else:
-            s = spec.initial
+        s = _draw_start(rng, spec.num_states, spec.initial)
         for _ in range(config.horizon):
             if rng.random() < config.epsilon:
                 a = int(rng.integers(spec.num_actions))
             else:
                 a = int(np.argmax(q[s]))
-            cum = cums[s, a]
-            pick = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
-            nxt = int(nexts[s, a][pick])
+            nxt = _draw_successor(rng, nexts[s, a], cums[s, a])
             q_update(q, s, a, rewards[nxt], nxt, config.alpha, config.gamma)
             s = nxt
     return q
@@ -222,16 +228,11 @@ def greedy_rollouts(
     policy = greedy_policy(qtable)
     seen: dict[tuple, int] = {}
     for _ in range(trials):
-        if initial is None:
-            s = int(rng.integers(spec.num_states))
-        else:
-            s = initial
+        s = _draw_start(rng, spec.num_states, initial)
         steps = []
         for _ in range(horizon):
             a = int(policy[s])
-            cum = cums[s, a]
-            pick = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
-            nxt = int(nexts[s, a][pick])
+            nxt = _draw_successor(rng, nexts[s, a], cums[s, a])
             steps.append((s, a, nxt, spec.rewards[nxt]))
             s = nxt
         key = tuple(steps)

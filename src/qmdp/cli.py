@@ -23,8 +23,8 @@ import sys
 from dataclasses import replace
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
-from .layout import decode_trajectory
-from .mdp import MdpFormatError, MdpValidationError, bundled_mdp, load
+from .layout import decode_trajectory, probability_order
+from .mdp import MdpFormatError, MdpValidationError, bundled_mdp, load, resolve_start
 from .prepare import build_preparation, simulate_distribution
 from .search import OracleSpec, grover_search
 from .sim import format_circuit
@@ -99,14 +99,6 @@ def _load_spec(source: str):
         raise CliError(f"cannot read model {source}: {exc}") from None
 
 
-def _classical_initial(spec, start):
-    if start is None:
-        return spec.initial
-    if start == "uniform":
-        return None
-    return start
-
-
 def _check_threads_env() -> None:
     raw = os.environ.get("QMDP_THREADS")
     if raw is None:
@@ -174,29 +166,16 @@ def _trajectory_json(records, counts) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def _ordered(records):
-    return sorted(records, key=lambda r: (-round(r.probability, 12), r.bitstring))
-
-
-def _transition_table_text(prepared, fmt: str) -> str:
-    state = prepared.prepare_state()
-    layout = prepared.layout
-    spec = prepared.spec
-
-    def pattern(qubits, value):
-        return tuple((q, (value >> j) & 1) for j, q in enumerate(qubits))
-
-    rows = []
-    for s in range(spec.num_states):
-        for a in range(spec.num_actions):
-            given = pattern(layout.state_qubits(0), s) + pattern(layout.action_qubits(0), a)
-            mass = state.pattern_probability(given)
-            if mass <= 0.0:
-                continue
-            for nxt in range(spec.num_states):
-                joint = state.pattern_probability(given + pattern(layout.next_qubits(0), nxt))
-                if joint > 0.0:
-                    rows.append((s, a, nxt, joint / mass))
+def _transition_table_text(records, fmt: str) -> str:
+    # One-step records: P(next | state, action) is a record's probability over
+    # its (state, action) mass, summed in ascending bit string (basis index)
+    # order, the fixed reduction order of the simulator.
+    mass, joint = {}, {}
+    for record in sorted(records, key=lambda r: r.bitstring):
+        ((s, a, nxt, _),) = record.steps
+        mass[s, a] = mass.get((s, a), 0.0) + record.probability
+        joint[s, a, nxt] = record.probability
+    rows = [(s, a, nxt, p / mass[s, a]) for (s, a, nxt), p in sorted(joint.items())]
     if fmt == "json":
         doc = [{"state": s, "action": a, "next": n, "prob": p} for s, a, n, p in rows]
         return json.dumps(doc, indent=2) + "\n"
@@ -225,7 +204,7 @@ def _cmd_simulate(args) -> int:
     if args.steps == 1 and args.out:
         extension = ".json" if args.format == "json" else ".csv"
         _write_artifact(
-            _transition_table_text(prepared, args.format),
+            _transition_table_text(records, args.format),
             _sibling_path(args.out, "transitions", extension),
         )
     return 0
@@ -233,10 +212,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = _load_spec(args.mdp)
-    start = _parse_start(args.start)
-    records = _ordered(enumerate_trajectories(
-        spec, args.steps, _classical_initial(spec, start), include_return=args.steps > 1
-    ))
+    initial = resolve_start(spec, _parse_start(args.start))
+    records = sorted(
+        enumerate_trajectories(spec, args.steps, initial, include_return=args.steps > 1),
+        key=lambda r: probability_order(r.probability, r.bitstring),
+    )
     if args.format == "csv":
         text = _trajectory_csv(records, args.steps, None)
     else:
@@ -306,12 +286,10 @@ def _cmd_search(args) -> int:
         raise CliError("search reports are JSON; pass --format json or drop the flag")
     _require_seed(args)
     spec = _load_spec(args.mdp)
-    start = _parse_start(args.start)
-    classical_initial = _classical_initial(spec, start)
-    prepared = build_preparation(spec, args.steps, initial=start)
+    prepared = build_preparation(spec, args.steps, initial=_parse_start(args.start))
     if args.dump_circuit:
         _write_artifact(format_circuit(prepared.circuit), args.dump_circuit)
-    target = _resolve_target(args.target_return, spec, args.steps, classical_initial)
+    target = _resolve_target(args.target_return, spec, args.steps, prepared.initial)
     report = grover_search(
         prepared,
         OracleSpec(target_return=target),
@@ -323,7 +301,7 @@ def _cmd_search(args) -> int:
     _write_artifact(_report_json(prepared, report), args.out)
     if args.out and report.counts is not None:
         _write_artifact(
-            _counts_csv(spec, args.steps, classical_initial, report.counts),
+            _counts_csv(spec, args.steps, prepared.initial, report.counts),
             _sibling_path(args.out, "counts", ".csv"),
         )
     return 0
@@ -337,8 +315,7 @@ def _cmd_qlearn(args) -> int:
     if args.shots < 1:
         raise CliError(f"--shots (rollout trials) must be >= 1, got {args.shots}")
     spec = _load_spec(args.mdp)
-    start = _parse_start(args.start)
-    initial = _classical_initial(spec, start)
+    initial = resolve_start(spec, _parse_start(args.start))
     training_spec = replace(spec, initial=initial)
     config = QlConfig(seed=args.seed, horizon=args.steps)
     table = q_learning(training_spec, config)

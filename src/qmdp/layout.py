@@ -6,11 +6,16 @@ top. Qubit 0 is the least significant bit of a basis index, so the printed
 (most-significant-first) form of a basis string reads: return bits, then step
 T-1 down to step 0, each step as reward | next | action | state. This module
 is pure bookkeeping; it knows nothing about gates or amplitudes.
+
+It is the register codec's only owner: the gather :func:`field_value`, the
+scatter :func:`field_index`, :func:`value_pattern` and :func:`pattern_mask`.
+It also owns :func:`probability_order`, the order of trajectory listings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .mdp import MdpSpec
 
@@ -78,6 +83,14 @@ class RegisterLayout:
         base = self.steps * self.step_width
         return list(range(base, base + self.return_bits))
 
+    @cached_property
+    def _step_registers(self) -> tuple[tuple[list[int], ...], ...]:
+        # (state, action, next, reward) qubits of every step, resolved once
+        return tuple(
+            (self.state_qubits(t), self.action_qubits(t), self.next_qubits(t), self.reward_qubits(t))
+            for t in range(self.steps)
+        )
+
     def register_qubits(self, role: str, step: int = 0) -> list[int]:
         """Qubits of a named register; roles: state, action, next, reward, return."""
         if role == "state":
@@ -109,12 +122,51 @@ class TrajectoryRecord:
     count: int | None = None
 
 
-def field_value(index: int, qubits: list[int]) -> int:
-    """Read a register value out of a basis index (qubits listed LSB first)."""
-    value = 0
+def probability_order(probability: float, bitstring: str) -> tuple[float, str]:
+    """Sort key of every trajectory listing: descending probability, rounded
+    to 12 places so float dust cannot reorder ties, then ascending bit string."""
+    return -round(probability, 12), bitstring
+
+
+def field_value(index, qubits: list[int]):
+    """Read a register value out of a basis index (qubits listed LSB first).
+
+    ``index`` may be an int or a numpy integer array; an array decodes
+    element-wise into an array of values.
+    """
+    value = index & 0  # a zero of the index's own type and shape
     for j, q in enumerate(qubits):
         value |= ((index >> q) & 1) << j
     return value
+
+
+def field_index(value: int, qubits: list[int]) -> int:
+    """The inverse of :func:`field_value`: the basis index holding ``value`` on
+    ``qubits`` (LSB first) and zeros everywhere else."""
+    if not 0 <= value < 1 << len(qubits):
+        raise ValueError(f"value {value} does not fit a {len(qubits)}-bit register")
+    index = 0
+    for j, q in enumerate(qubits):
+        index |= ((value >> j) & 1) << q
+    return index
+
+
+def value_pattern(qubits: list[int], value: int) -> tuple[tuple[int, int], ...]:
+    """(qubit, bit) pairs matching exactly the basis states that hold
+    ``value`` on ``qubits`` (LSB first)."""
+    index = field_index(value, qubits)
+    return tuple((q, (index >> q) & 1) for q in qubits)
+
+
+def pattern_mask(pattern) -> tuple[int, int]:
+    """``(mask, want)`` such that ``index & mask == want`` exactly when the
+    basis index matches every (qubit, bit) pair of ``pattern``."""
+    mask = want = 0
+    for q, b in pattern:
+        mask |= 1 << q
+        if b:
+            want |= 1 << q
+    return mask, want
 
 
 def encode_index(layout: RegisterLayout, steps: list[tuple[int, int, int, int]], total_return: int) -> int:
@@ -122,21 +174,13 @@ def encode_index(layout: RegisterLayout, steps: list[tuple[int, int, int, int]],
     if len(steps) != layout.steps:
         raise ValueError(f"expected {layout.steps} steps, got {len(steps)}")
     index = 0
-    for t, (s, a, nxt, r) in enumerate(steps):
-        for value, qubits in (
-            (s, layout.state_qubits(t)),
-            (a, layout.action_qubits(t)),
-            (nxt, layout.next_qubits(t)),
-            (r, layout.reward_qubits(t)),
-        ):
-            if value < 0 or value >= 1 << len(qubits):
-                raise ValueError(f"value {value} does not fit a {len(qubits)}-bit register")
-            for j, q in enumerate(qubits):
-                index |= ((value >> j) & 1) << q
-    if total_return < 0 or (layout.return_bits and total_return >= 1 << layout.return_bits):
-        raise ValueError(f"return {total_return} does not fit a {layout.return_bits}-bit register")
-    for j, q in enumerate(layout.return_qubits()):
-        index |= ((total_return >> j) & 1) << q
+    for values, registers in zip(steps, layout._step_registers):
+        for value, qubits in zip(values, registers):
+            index |= field_index(value, qubits)
+    if layout.return_bits:
+        index |= field_index(total_return, layout.return_qubits())
+    elif total_return < 0:
+        raise ValueError(f"return {total_return} is negative")
     return index
 
 
@@ -150,16 +194,9 @@ def decode_index(layout: RegisterLayout, index: int) -> TrajectoryRecord:
     Without a return register the total return is the sum of step rewards;
     with one it is read from the register bits.
     """
-    steps = []
-    for t in range(layout.steps):
-        steps.append(
-            (
-                field_value(index, layout.state_qubits(t)),
-                field_value(index, layout.action_qubits(t)),
-                field_value(index, layout.next_qubits(t)),
-                field_value(index, layout.reward_qubits(t)),
-            )
-        )
+    steps = [
+        tuple([field_value(index, qubits) for qubits in registers]) for registers in layout._step_registers
+    ]
     if layout.return_bits:
         total = field_value(index, layout.return_qubits())
     else:

@@ -130,6 +130,23 @@ def validated(spec: MdpSpec) -> MdpSpec:
     return spec
 
 
+def resolve_start(spec: MdpSpec, start: int | str | None) -> int | None:
+    """The start state a run uses, ``None`` meaning uniform over the states.
+
+    ``start`` of None takes the model's own ``initial``, the string
+    "uniform" forces a uniform start, and an integer forces that start state.
+    """
+    if start is None:
+        return spec.initial
+    if start == "uniform":
+        return None
+    if not isinstance(start, int):
+        raise ValueError(f"initial must be None, 'uniform' or a state index, got {start!r}")
+    if not 0 <= start < spec.num_states:
+        raise ValueError(f"start state {start} outside 0..{spec.num_states - 1}")
+    return start
+
+
 def support(spec: MdpSpec, state: int, action: int) -> dict[int, float]:
     """Successor distribution for one (state, action) pair.
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .layout import RegisterLayout, TrajectoryRecord, decode_trajectory
-from .mdp import MdpSpec, support, validated
+from .layout import RegisterLayout, TrajectoryRecord, decode_trajectory, probability_order, value_pattern
+from .mdp import MdpSpec, resolve_start, support, validated
 from .sim import Circuit, prepare_zero
 
 _CERTAIN_TOL = 1e-12
@@ -77,10 +77,6 @@ def _encode_distribution(circuit, qubits, probs, base_controls):
     node(len(qubits) - 1, 0, 1 << len(qubits), tuple(base_controls))
 
 
-def _value_pattern(qubits, value):
-    return tuple((q, (value >> j) & 1) for j, q in enumerate(qubits))
-
-
 def build_init(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, initial: int | None) -> None:
     """Start distribution on the step 0 state register, plus the uniform
     action draw of every step.
@@ -98,7 +94,7 @@ def build_init(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, initial:
         for q in qubits[: (spec.num_states - 1).bit_length()]:
             circuit.h(q)
     else:
-        for q, bit in _value_pattern(qubits, initial):
+        for q, bit in value_pattern(qubits, initial):
             if bit:
                 circuit.x(q)
     for t in range(layout.steps):
@@ -120,7 +116,7 @@ def build_transition(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, st
         for a in range(spec.num_actions):
             branch = support(spec, s, a)
             probs = [branch.get(v, 0.0) for v in range(size)]
-            controls = _value_pattern(state_qubits, s) + _value_pattern(action_qubits, a)
+            controls = value_pattern(state_qubits, s) + value_pattern(action_qubits, a)
             _encode_distribution(circuit, next_qubits, probs, controls)
 
 
@@ -137,7 +133,7 @@ def build_reward(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, step: 
         reward = spec.rewards[v]
         if reward == 0:
             continue
-        pattern = _value_pattern(next_qubits, v)
+        pattern = value_pattern(next_qubits, v)
         for b in range(layout.reward_bits):
             if (reward >> b) & 1:
                 circuit.x(reward_qubits[b], pattern)
@@ -197,11 +193,9 @@ def build_preparation(
 ) -> PreparedModel:
     """Compile a validated model into its preparation circuit.
 
-    ``initial`` of None takes the start baked into the model (uniform when
-    the model states none), the string "uniform" forces a uniform start,
-    and an integer forces that start state. The uniform action draw needs a
-    power-of-two action count; other counts are rejected here rather than
-    silently skewed.
+    ``initial`` is resolved by :func:`~qmdp.mdp.resolve_start`. The uniform
+    action draw needs a power-of-two action count; other counts are
+    rejected here rather than silently skewed.
     """
     spec = validated(spec)
     if steps < 1:
@@ -210,16 +204,7 @@ def build_preparation(
         raise ValueError(
             f"uniform action draw needs a power-of-two action count, got {spec.num_actions}"
         )
-    if initial is None:
-        start = spec.initial
-    elif initial == "uniform":
-        start = None
-    elif isinstance(initial, int):
-        if not 0 <= initial < spec.num_states:
-            raise ValueError(f"start state {initial} outside 0..{spec.num_states - 1}")
-        start = initial
-    else:
-        raise ValueError(f"initial must be None, 'uniform' or a state index, got {initial!r}")
+    start = resolve_start(spec, initial)
     layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
     circuit = Circuit(layout.num_qubits)
     build_init(circuit, layout, spec, start)
@@ -236,12 +221,12 @@ def build_preparation(
 def simulate_distribution(prepared: PreparedModel, backend: str = "sparse") -> list[TrajectoryRecord]:
     """Run the circuit and decode every nonzero basis state.
 
-    Records are sorted by descending probability (rounded to 12 places so
-    float dust cannot reorder ties), then by bit string.
+    Records are sorted by :func:`~qmdp.layout.probability_order`:
+    descending probability, then bit string.
     """
     state = prepared.prepare_state(backend)
     records = []
     for bits, prob in state.probabilities().items():
         records.append(replace(decode_trajectory(prepared.layout, bits), probability=prob))
-    records.sort(key=lambda r: (-round(r.probability, 12), r.bitstring))
+    records.sort(key=lambda r: probability_order(r.probability, r.bitstring))
     return records

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .layout import decode_trajectory
+from .layout import decode_trajectory, probability_order, value_pattern
 from .prepare import PreparedModel
 from .sim import Circuit
 
@@ -49,26 +49,19 @@ class OracleSpec:
 def oracle_pattern(prepared: PreparedModel, oracle: OracleSpec):
     """The (qubit, bit) pattern the oracle's phase flip matches."""
     layout = prepared.layout
-    pattern: list[tuple[int, int]] = []
-
-    def add(qubits, value):
-        if not 0 <= value < 1 << len(qubits):
-            raise ValueError(f"value {value} does not fit a {len(qubits)}-bit register")
-        for j, q in enumerate(qubits):
-            pattern.append((q, (value >> j) & 1))
-
+    pattern: tuple[tuple[int, int], ...] = ()
     if oracle.target_return is not None:
         if not layout.return_bits:
             raise ValueError("layout has no total register to constrain")
-        add(layout.return_qubits(), oracle.target_return)
+        pattern += value_pattern(layout.return_qubits(), oracle.target_return)
     for role, step, value in oracle.constraints:
-        add(layout.register_qubits(role, step), value)
+        pattern += value_pattern(layout.register_qubits(role, step), value)
     seen = set()
     for q, _ in pattern:
         if q in seen:
             raise ValueError("oracle constraints overlap on a register")
         seen.add(q)
-    return tuple(pattern)
+    return pattern
 
 
 def build_oracle(prepared: PreparedModel, oracle: OracleSpec) -> Circuit:
@@ -123,7 +116,7 @@ class SearchReport:
 
     def top_marked(self) -> tuple[MarkedState, ...]:
         return tuple(
-            sorted(self.marked, key=lambda m: (-round(m.probability_after, 12), m.bitstring))
+            sorted(self.marked, key=lambda m: probability_order(m.probability_after, m.bitstring))
         )
 
 

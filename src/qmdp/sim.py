@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layout import field_value, pattern_mask
+
 H = "h"
 X = "x"
 RY = "ry"
@@ -136,15 +138,6 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _pattern_mask(controls: Controls) -> tuple[int, int]:
-    mask = want = 0
-    for q, b in controls:
-        mask |= 1 << q
-        if b:
-            want |= 1 << q
-    return mask, want
-
-
 def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
     # Row-major 2x2 real matrix (m00, m01, m10, m11).
     if gate.kind == H:
@@ -162,7 +155,7 @@ class _StateBase:
     backend = ""
     num_qubits: int
 
-    # subclasses provide: apply(gate), copy(), amplitude(index),
+    # subclasses provide: apply(gate), copy() and
     # _nonzero() -> (ascending index array, complex amplitude array)
 
     def apply_circuit(self, circuit: Circuit) -> "_StateBase":
@@ -193,7 +186,7 @@ class _StateBase:
 
     def pattern_items(self, pattern: Controls) -> list[tuple[int, float]]:
         """(index, probability) over nonzero basis states matching a pattern."""
-        mask, want = _pattern_mask(pattern)
+        mask, want = pattern_mask(pattern)
         idx, amps = self._nonzero()
         out = []
         for i, a in zip(idx, amps):
@@ -217,12 +210,9 @@ class _StateBase:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} outside register of {self.num_qubits}")
         idx, amps = self._nonzero()
+        keys = field_value(idx, qubits).tolist()
         out: dict[int, float] = {}
-        for i, a in zip(idx, amps):  # ascending index: fixed reduction order
-            i = int(i)
-            key = 0
-            for j, q in enumerate(qubits):
-                key |= ((i >> q) & 1) << j
+        for key, a in zip(keys, amps):  # ascending index: fixed reduction order
             out[key] = out.get(key, 0.0) + float(abs(a) ** 2)
         return dict(sorted(out.items()))
 
@@ -281,9 +271,6 @@ class DenseState(_StateBase):
 
     def copy(self) -> "DenseState":
         return DenseState(self.num_qubits, self._amps.copy())
-
-    def amplitude(self, index: int) -> complex:
-        return complex(self._amps[index])
 
     def _axis(self, qubit: int) -> int:
         return self.num_qubits - 1 - qubit
@@ -344,15 +331,12 @@ class SparseState(_StateBase):
     def copy(self) -> "SparseState":
         return SparseState(self.num_qubits, dict(self._amps))
 
-    def amplitude(self, index: int) -> complex:
-        return complex(self._amps.get(index, 0.0))
-
     def apply(self, gate: Gate) -> "SparseState":
         n = self.num_qubits
         for q in gate.qubits():
             if q >= n:
                 raise ValueError(f"gate touches qubit {q} outside register of {n}")
-        mask, want = _pattern_mask(gate.controls)
+        mask, want = pattern_mask(gate.controls)
         amps = self._amps
         if gate.kind == FLIP:
             for i, a in amps.items():

@@ -4,6 +4,7 @@ Each test drives ``qmdp.cli.main`` in process and inspects artifacts,
 exit codes, and reproducibility guarantees.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -107,6 +108,71 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
     capsys.readouterr()
     assert read(first) == read(second)
     assert read(tmp_path / "a_counts.csv") == read(tmp_path / "b_counts.csv")
+
+
+# sha256 of every file each command writes, recorded from a known-good build.
+# Any byte change in an artifact fails here; update a digest only together
+# with an intended change of the output format.
+GOLDEN = {
+    "simulate-t1-csv": (
+        ["simulate", "--steps", "1", "--out", "{dir}/traj.csv"],
+        {
+            "traj.csv": "ec8f5230d14c479962166333cb44d98f0d8c4f479b4cb4090fd3c7f1c33ca5ae",
+            "traj_transitions.csv": "2c757bd290c52a296af116073cdf8d813f604d9b5f87e04571ab3eebd68e07e7",
+        },
+    ),
+    "simulate-t1-json": (
+        ["simulate", "--steps", "1", "--format", "json", "--out", "{dir}/traj.json"],
+        {
+            "traj.json": "24b5741e74960fcfb8cf52b4609dcce14ccc58123522268b7daa1fb20f1297f0",
+            "traj_transitions.json": "37c0e2153193538fd7e231dea410da4da51f2a8bf9ed64c71399fb3dd452cac8",
+        },
+    ),
+    "simulate-shots-sparse": (
+        ["simulate", "--steps", "3", "--start", "uniform", "--shots", "500", "--seed", "5",
+         "--backend", "sparse", "--dump-circuit", "{dir}/circuit.txt", "--out", "{dir}/traj.csv"],
+        {
+            "traj.csv": "1c5e942778d308106d0db54e259fb4eb6030301e4d1a3ae85975c528dc65139b",
+            "circuit.txt": "7d72ce5df2e72142dd42c85acf7490148c05368ae730aef184d638b3870c8d1a",
+        },
+    ),
+    "simulate-shots-dense": (
+        ["simulate", "--steps", "3", "--start", "uniform", "--shots", "500", "--seed", "5",
+         "--backend", "dense", "--out", "{dir}/traj.csv"],
+        {
+            "traj.csv": "1c5e942778d308106d0db54e259fb4eb6030301e4d1a3ae85975c528dc65139b",
+        },
+    ),
+    "enumerate-t3": (
+        ["enumerate", "--steps", "3", "--out", "{dir}/catalog.csv"],
+        {
+            "catalog.csv": "efe8f2c853306a0e5ac5fb10e7c9c79052cb9e269ec0476036ec29b904dd1f99",
+        },
+    ),
+    "search-max": (
+        ["search", "--start", "fixed:0", "--target-return", "max", "--shots", "300", "--seed", "2",
+         "--out", "{dir}/report.json"],
+        {
+            "report.json": "523ef5ac549ffe1aa208e2814512d7adcff50c491c54513d792146df00aa36b8",
+            "report_counts.csv": "3196a93d39e4f87c142e488c961fbb3191965a79ba5cea451ae424c0e2335d52",
+        },
+    ),
+    "qlearn": (
+        ["qlearn", "--seed", "3", "--out", "{dir}/ql.json"],
+        {
+            "ql.json": "fbc333c5ffe7d6c7c6fc8b50b4d5003e2b6fdf504eebffaed8f2046a8e9e5198",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, digests", list(GOLDEN.values()), ids=list(GOLDEN))
+def test_artifacts_match_golden_digests(capsys, tmp_path, argv, digests):
+    code, _, _ = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(digests)
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert written == digests
 
 
 def test_search_scenario_fixed_start(capsys, tmp_path):
@@ -239,10 +305,16 @@ def test_bad_start_and_missing_file(capsys):
     assert "cannot read" in err
 
 
-def test_out_of_range_fixed_start(capsys):
-    code, _, err = run(capsys, "simulate", "--start", "fixed:9")
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["search", "--target-return", "max"],
+    ["enumerate"],
+    ["qlearn", "--seed", "1"],
+], ids=["simulate", "search", "enumerate", "qlearn"])
+def test_out_of_range_fixed_start(capsys, argv):
+    code, _, err = run(capsys, *argv, "--start", "fixed:9")
     assert code == 1
-    assert "error" in err
+    assert err == "error: start state 9 outside 0..3\n"  # one message, no traceback
 
 
 def test_unknown_subcommand_exits_2(capsys):

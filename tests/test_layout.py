@@ -82,6 +82,7 @@ def test_no_return_variant_decodes_from_step_rewards(bundled):
 
 def test_random_round_trips():
     rng = np.random.default_rng(21)
+    batches = {}
     for _ in range(200):
         spec = random_mdp(rng)
         steps_n = int(rng.integers(1, 4))
@@ -101,6 +102,16 @@ def test_random_round_trips():
         assert (decoded.steps, decoded.total_return) == (steps, total)
         rec = decode_trajectory(layout, bitstring_of(layout, index))
         assert (rec.steps, rec.total_return) == (steps, total)
+        batches.setdefault(layout, []).append(index)
+    # one field_value call per register decodes a whole array of indices
+    for layout, indices in batches.items():
+        batch = np.array(indices, dtype=np.int64)
+        registers = [layout.return_qubits()]
+        for t in range(layout.steps):
+            registers += [layout.register_qubits(role, t) for role in ("state", "action", "next", "reward")]
+        for qubits in registers:
+            values = field_value(batch, qubits)
+            assert values.tolist() == [field_value(index, qubits) for index in indices]
 
 
 def test_field_value_reads_register_bits():
