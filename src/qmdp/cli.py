@@ -275,6 +275,9 @@ def _report_json(prepared, report) -> str:
 def _counts_csv(spec, steps, classical_initial, counts) -> str:
     catalog = enumerate_trajectories(spec, steps, classical_initial)
     rank = {record.bitstring: i + 1 for i, record in enumerate(catalog)}
+    unknown = sorted(counts.keys() - rank.keys())
+    if unknown:
+        raise CliError(f"sampled bit string {unknown[0]} is not in the enumerated catalog")
     lines = [TRAJECTORY_NUMBER_NOTE, "trajectory,count"]
     numbered = sorted((rank[bits], count) for bits, count in counts.items())
     lines.extend(f"{number},{count}" for number, count in numbered)

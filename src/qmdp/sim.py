@@ -6,6 +6,10 @@ pairs. Controlled gates act natively on the state, never decomposed into
 smaller gates. Qubit 0 is the least significant bit of the basis index;
 printed basis strings put the most significant qubit first.
 
+The dense backend holds all 2**n amplitudes in one array. The sparse backend
+holds only the live ones, as a sorted int64 basis-index array beside a
+complex128 amplitude array, which caps its width at 63 qubits.
+
 Determinism contract: reductions (norm, marginals, sampling) accumulate in a
 fixed sequential order over ascending basis indices, and sampling uses an
 inverse-CDF walk driven by ``numpy.random.default_rng(seed)``, so identical
@@ -31,6 +35,7 @@ FLIP = "flip"
 _KINDS = (H, X, RY, FLIP)
 
 DENSE_QUBIT_LIMIT = 26  # 2**26 amplitudes, 1 GiB at 16 bytes each
+SPARSE_QUBIT_LIMIT = 63  # basis indices are non-negative int64
 PRUNE_TOL = 1e-14  # sparse entries below this magnitude are dropped
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -155,7 +160,7 @@ class _StateBase:
     backend = ""
     num_qubits: int
 
-    # subclasses provide: apply(gate), copy() and
+    # subclasses provide: apply(gate) and
     # _nonzero() -> (ascending index array, complex amplitude array)
 
     def apply_circuit(self, circuit: Circuit) -> "_StateBase":
@@ -269,9 +274,6 @@ class DenseState(_StateBase):
             amps[0] = 1.0
         self._amps = amps
 
-    def copy(self) -> "DenseState":
-        return DenseState(self.num_qubits, self._amps.copy())
-
     def _axis(self, qubit: int) -> int:
         return self.num_qubits - 1 - qubit
 
@@ -314,10 +316,14 @@ class DenseState(_StateBase):
 
 
 class SparseState(_StateBase):
-    """Hash map from basis index to amplitude; zero entries are absent.
+    """Sorted basis indices with their amplitudes; zero entries are absent.
 
-    After every amplitude-mixing gate, entries with magnitude below
-    ``PRUNE_TOL`` are dropped so cancelled branches do not accumulate.
+    ``_idx`` holds the live basis indices as an ascending ``int64`` array and
+    ``_amps`` their ``complex128`` amplitudes, so a gate is a few array passes
+    and readouts take both arrays as they are. 64-bit indices cap the width
+    at ``SPARSE_QUBIT_LIMIT`` qubits. After every amplitude-mixing gate,
+    entries with magnitude below ``PRUNE_TOL`` are dropped so cancelled
+    branches do not accumulate.
     """
 
     backend = "sparse"
@@ -325,11 +331,16 @@ class SparseState(_StateBase):
     def __init__(self, num_qubits: int, amps: dict[int, complex] | None = None):
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+        if num_qubits > SPARSE_QUBIT_LIMIT:
+            raise ValueError(
+                f"sparse backend capacity exceeded: {num_qubits} qubits, limit is "
+                f"{SPARSE_QUBIT_LIMIT} (64-bit basis indices); use fewer steps or a smaller model"
+            )
         self.num_qubits = num_qubits
-        self._amps = {0: 1.0 + 0.0j} if amps is None else amps
-
-    def copy(self) -> "SparseState":
-        return SparseState(self.num_qubits, dict(self._amps))
+        amps = {0: 1.0 + 0.0j} if amps is None else amps
+        keys = sorted(amps)
+        self._idx = np.array(keys, dtype=np.int64)
+        self._amps = np.array([amps[i] for i in keys], dtype=np.complex128)
 
     def apply(self, gate: Gate) -> "SparseState":
         n = self.num_qubits
@@ -337,39 +348,43 @@ class SparseState(_StateBase):
             if q >= n:
                 raise ValueError(f"gate touches qubit {q} outside register of {n}")
         mask, want = pattern_mask(gate.controls)
-        amps = self._amps
+        idx, amps = self._idx, self._amps
+        hit = (idx & mask) == want
         if gate.kind == FLIP:
-            for i, a in amps.items():
-                if i & mask == want:
-                    amps[i] = -a
+            self._amps = np.where(hit, -amps, amps)
             return self
         tbit = 1 << gate.target
         if gate.kind == X:
-            out: dict[int, complex] = {}
-            for i, a in amps.items():
-                out[i ^ tbit if i & mask == want else i] = a
-            self._amps = out
-            return self
-        m00, m01, m10, m11 = _gate_matrix(gate)
-        out = {}
-        for i, a in amps.items():
-            if i & mask != want:
-                out[i] = out.get(i, 0.0) + a
-                continue
-            lo = i & ~tbit
-            hi = i | tbit
-            if i & tbit:
-                out[lo] = out.get(lo, 0.0) + m01 * a
-                out[hi] = out.get(hi, 0.0) + m11 * a
-            else:
-                out[lo] = out.get(lo, 0.0) + m00 * a
-                out[hi] = out.get(hi, 0.0) + m10 * a
-        self._amps = {i: a for i, a in out.items() if abs(a) >= PRUNE_TOL}
+            out_idx, out_amps = np.where(hit, idx ^ tbit, idx), amps
+        else:
+            rest = ~hit
+            upper = hit & ((idx & tbit) != 0)
+            lower = hit & ~upper
+            keys0 = idx[lower]  # pair key: the index with the target bit clear
+            keys1 = idx[upper] ^ tbit
+            # Pair keys, ascending and distinct, by a sort: np.unique's first
+            # call adds 1.7 MiB to peak resident memory.
+            keys = np.sort(np.concatenate((keys0, keys1)), kind="stable")
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            keys = keys[first]
+            a0 = np.zeros(len(keys), dtype=np.complex128)
+            a1 = np.zeros(len(keys), dtype=np.complex128)
+            a0[np.searchsorted(keys, keys0)] = amps[lower]  # an absent partner stays 0
+            a1[np.searchsorted(keys, keys1)] = amps[upper]
+            m00, m01, m10, m11 = _gate_matrix(gate)
+            out_idx = np.concatenate((idx[rest], keys, keys | tbit))
+            # Adding 0.0 turns each -0.0 part into +0.0, so the bytes equal a
+            # per-amplitude sum onto a 0.0 accumulator (tests/test_sim.py).
+            out_amps = np.concatenate((amps[rest], m00 * a0 + m01 * a1, m10 * a0 + m11 * a1)) + 0.0
+            live = np.abs(out_amps) >= PRUNE_TOL
+            out_idx, out_amps = out_idx[live], out_amps[live]
+        order = np.argsort(out_idx, kind="stable")  # a merge sort: fast on partly sorted runs
+        self._idx, self._amps = out_idx[order], out_amps[order]
         return self
 
     def _nonzero(self):
-        idx = sorted(self._amps)
-        return np.array(idx, dtype=np.int64), np.array([self._amps[i] for i in idx], dtype=np.complex128)
+        return self._idx, self._amps
 
 
 def prepare_zero(num_qubits: int, backend: str = "sparse") -> _StateBase:
@@ -377,7 +392,7 @@ def prepare_zero(num_qubits: int, backend: str = "sparse") -> _StateBase:
 
     The dense backend allocates all 2**n amplitudes and refuses more than
     ``DENSE_QUBIT_LIMIT`` qubits; the sparse backend is bounded by occupied
-    entries, not by width.
+    entries, up to ``SPARSE_QUBIT_LIMIT`` (63) qubits.
     """
     if backend == "dense":
         return DenseState(num_qubits)

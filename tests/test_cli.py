@@ -11,7 +11,9 @@ import os
 
 import pytest
 
-from qmdp.cli import main
+from qmdp import MdpSpec, Transition, bundled_mdp, save
+from qmdp.cli import CliError, _counts_csv, main
+from qmdp.classical import enumerate_trajectories
 
 
 def run(capsys, *argv):
@@ -317,6 +319,34 @@ def test_out_of_range_fixed_start(capsys, argv):
     assert err == "error: start state 9 outside 0..3\n"  # one message, no traceback
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["search", "--target-return", "max"],
+], ids=["simulate", "search"])
+def test_sparse_width_limit_is_refused(capsys, tmp_path, argv):
+    # Two states visited in turn, one action: 16 steps compile to 69 qubits,
+    # past the sparse backend's 64-bit basis indices, with one live amplitude.
+    path = tmp_path / "ring.json"
+    ring = MdpSpec(2, 1, (Transition(0, 0, 1, 1.0), Transition(1, 0, 0, 1.0)), (0, 1), 0)
+    path.write_text(save(ring), encoding="utf-8")
+    flags = ["--mdp", str(path), "--steps", "16", "--start", "fixed:0"]
+    code, _, err = run(capsys, *argv, *flags)
+    assert code == 1
+    assert err.startswith("error: sparse backend capacity exceeded: 69 qubits, limit is 63")
+    assert "Traceback" not in err
+    code, _, _ = run(capsys, "enumerate", *flags)
+    assert code == 0
+
+
+def test_counts_outside_the_catalog_are_refused():
+    spec = bundled_mdp()
+    known = {record.bitstring for record in enumerate_trajectories(spec, 1, 0)}
+    stray = "1" * len(next(iter(known)))
+    assert stray not in known
+    with pytest.raises(CliError, match=f"sampled bit string {stray} is not in the enumerated catalog"):
+        _counts_csv(spec, 1, 0, {stray: 3})
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["polish"])
@@ -345,8 +375,6 @@ def test_json_format_for_trajectories(capsys):
 
 
 def test_custom_model_file_roundtrip(capsys, tmp_path):
-    from qmdp import bundled_mdp, save
-
     path = tmp_path / "model.json"
     path.write_text(save(bundled_mdp()), encoding="utf-8")
     code, out, _ = run(capsys, "enumerate", "--mdp", str(path), "--steps", "1", "--start", "uniform")

@@ -2,7 +2,8 @@
 
 The reference builds each gate as a full 2**n by 2**n matrix from Kronecker
 products of 2x2 blocks and control projectors, a deliberately different code
-path from either backend kernel.
+path from either backend kernel. The sparse array kernel is also held to
+byte equality with a per-amplitude dict kernel kept here as its reference.
 """
 
 import math
@@ -12,12 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_mdp
+from qmdp import bundled_mdp
+from qmdp.layout import pattern_mask
+from qmdp.prepare import build_preparation
 from qmdp.sim import (
     DENSE_QUBIT_LIMIT,
+    PRUNE_TOL,
+    SPARSE_QUBIT_LIMIT,
     Circuit,
     DenseState,
     Gate,
     SparseState,
+    _gate_matrix,
     format_circuit,
     prepare_zero,
 )
@@ -273,6 +281,65 @@ def test_sparse_prunes_cancelled_branches():
     assert len(state._amps) == 1  # the cancelled |1> entry is gone
 
 
+def dict_apply(amps, gate):
+    """One gate on a {basis index: amplitude} dict, one Python step per entry."""
+    mask, want = pattern_mask(gate.controls)
+    if gate.kind == "flip":
+        return {i: -a if i & mask == want else a for i, a in amps.items()}
+    tbit = 1 << gate.target
+    if gate.kind == "x":
+        return {i ^ tbit if i & mask == want else i: a for i, a in amps.items()}
+    m00, m01, m10, m11 = _gate_matrix(gate)
+    out = {}
+    for i, a in amps.items():
+        if i & mask != want:
+            out[i] = out.get(i, 0.0) + a
+            continue
+        to_lo, to_hi = (m01, m11) if i & tbit else (m00, m10)
+        out[i & ~tbit] = out.get(i & ~tbit, 0.0) + to_lo * a
+        out[i | tbit] = out.get(i | tbit, 0.0) + to_hi * a
+    return {i: a for i, a in out.items() if abs(a) >= PRUNE_TOL}
+
+
+def assert_same_bytes(state, amps):
+    idx, values = state._nonzero()
+    keys = sorted(amps)
+    assert idx.tobytes() == np.array(keys, dtype=np.int64).tobytes()
+    assert values.tobytes() == np.array([amps[i] for i in keys], dtype=np.complex128).tobytes()
+
+
+def test_sparse_kernel_matches_dict_kernel_bytewise():
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        start = {0: 1 + 0j}
+        if trial % 2:  # complex amplitudes on every basis state
+            start = {i: complex(a) for i, a in enumerate(random_vector(rng, n))}
+        state, amps = SparseState(n, dict(start)), dict(start)
+        for _ in range(int(rng.integers(1, 40))):
+            gate = random_gate(rng, n)
+            # a repeated H cancels branches that pruning must then drop
+            for g in [gate, gate] if gate.kind == "h" and rng.random() < 0.3 else [gate]:
+                state.apply(g)
+                amps = dict_apply(amps, g)
+                assert_same_bytes(state, amps)
+
+
+@pytest.mark.parametrize("spec, steps, initial", [
+    *[(bundled_mdp(), t, None) for t in range(1, 6)],
+    (random_mdp(np.random.default_rng(3), num_states=4, num_actions=2), 3, "uniform"),
+], ids=[f"bundled-t{t}" for t in range(1, 6)] + ["random-uniform-t3"])
+def test_sparse_preparation_matches_dict_kernel_bytewise(spec, steps, initial):
+    prepared = build_preparation(spec, steps, initial=initial)
+    state = prepare_zero(prepared.layout.num_qubits, "sparse")
+    amps = {0: 1 + 0j}
+    for gate in prepared.circuit.gates:
+        state.apply(gate)
+        amps = dict_apply(amps, gate)
+    assert_same_bytes(state, amps)
+    assert len(state._amps) == len(amps) > 1
+
+
 def test_validation_rejects_malformed_gates():
     with pytest.raises(ValueError):
         Gate("t", 0)
@@ -304,6 +371,16 @@ def test_dense_capacity_is_enforced():
         prepare_zero(DENSE_QUBIT_LIMIT + 1, "dense")
     # sparse has no such wall
     assert prepare_zero(DENSE_QUBIT_LIMIT + 1, "sparse").num_qubits == 27
+
+
+def test_sparse_capacity_is_enforced():
+    with pytest.raises(ValueError, match="sparse backend capacity exceeded: 64 qubits, limit is 63"):
+        prepare_zero(SPARSE_QUBIT_LIMIT + 1, "sparse")
+    # the top qubit of the widest state still indexes correctly
+    top = SPARSE_QUBIT_LIMIT - 1
+    state = prepare_zero(SPARSE_QUBIT_LIMIT, "sparse").apply(Gate("h", top)).apply(Gate("x", 0, controls=((top, 1),)))
+    assert [i for i, _ in state.nonzero_items()] == [0, (1 << top) | 1]
+    assert state.marginal([top]) == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
 
 
 def test_unknown_backend_is_rejected():
