@@ -24,7 +24,7 @@ from dataclasses import replace
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
 from .layout import decode_trajectory, probability_order
-from .mdp import MdpFormatError, MdpValidationError, bundled_mdp, load, resolve_start
+from .mdp import bundled_mdp, load, resolve_start
 from .prepare import build_preparation, simulate_distribution
 from .search import OracleSpec, grover_search
 from .sim import format_circuit
@@ -133,7 +133,7 @@ def _sibling_path(out: str, suffix: str, extension: str | None = None) -> str:
     return f"{stem}_{suffix}{extension if extension is not None else ext}"
 
 
-def _trajectory_rows(records, steps, counts):
+def _trajectory_rows(records, counts):
     rows = []
     for record in records:
         count = "" if counts is None else str(counts.get(record.bitstring, 0))
@@ -149,7 +149,7 @@ def _trajectory_csv(records, steps, counts) -> str:
     for t in range(steps):
         header.extend([f"s{t}", f"a{t}", f"sp{t}", f"r{t}"])
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in _trajectory_rows(records, steps, counts))
+    lines.extend(",".join(row) for row in _trajectory_rows(records, counts))
     return "\n".join(lines) + "\n"
 
 
@@ -364,13 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_threads_env()
         return _COMMANDS[args.subcommand](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MdpFormatError, MdpValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    # MdpFormatError and MdpValidationError are ValueErrors
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,17 +7,25 @@ top. Qubit 0 is the least significant bit of a basis index, so the printed
 T-1 down to step 0, each step as reward | next | action | state. This module
 is pure bookkeeping; it knows nothing about gates or amplitudes.
 
-It is the register codec's only owner: the gather :func:`field_value`, the
-scatter :func:`field_index`, :func:`value_pattern` and :func:`pattern_mask`.
-It also owns :func:`probability_order`, the order of trajectory listings.
+Register geometry has one owner, :attr:`RegisterLayout.fields`: every
+register as a bit field, its lowest qubit and its width. The accessors,
+:func:`encode_index` and :func:`decode_index` all read that table, the codec
+by shift and mask. The module also owns the general gather
+:func:`field_value` over any qubit list, :func:`value_pattern`,
+:func:`pattern_mask` and :func:`probability_order`, the order of trajectory
+listings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .mdp import MdpSpec
+
+STEP_ROLES = ("state", "action", "next", "reward")
+ROLES = STEP_ROLES + ("return",)
 
 
 def _bits_for_states(count: int) -> int:
@@ -60,50 +68,43 @@ class RegisterLayout:
     def num_qubits(self) -> int:
         return self.steps * self.step_width + self.return_bits
 
-    def _block(self, step: int, offset: int, width: int) -> list[int]:
-        if not 0 <= step < self.steps:
+    @cached_property
+    def fields(self) -> tuple[tuple[int, int], ...]:
+        """(lowest qubit, width) of every register in ascending qubit order:
+        each step's registers in :data:`STEP_ROLES` order, then the return
+        register (zero width when the layout has none)."""
+        step = (self.state_bits, self.action_bits, self.state_bits, self.reward_bits)
+        widths = step * self.steps + (self.return_bits,)
+        return tuple(zip(accumulate(widths, initial=0), widths))
+
+    def register_qubits(self, role: str, step: int = 0) -> list[int]:
+        """Qubits of a named register, least significant first; roles are
+        :data:`ROLES`, and the step of the return register is ignored."""
+        if role not in ROLES:
+            raise ValueError(f"unknown register role {role!r}")
+        if role == "return":
+            offset, width = self.fields[-1]
+        elif 0 <= step < self.steps:
+            offset, width = self.fields[step * len(STEP_ROLES) + STEP_ROLES.index(role)]
+        else:
             raise ValueError(f"step {step} outside [0, {self.steps})")
-        base = step * self.step_width + offset
-        return list(range(base, base + width))
+        return list(range(offset, offset + width))
 
     def state_qubits(self, step: int) -> list[int]:
         """Qubits of the step's current-state register, least significant first."""
-        return self._block(step, 0, self.state_bits)
+        return self.register_qubits("state", step)
 
     def action_qubits(self, step: int) -> list[int]:
-        return self._block(step, self.state_bits, self.action_bits)
+        return self.register_qubits("action", step)
 
     def next_qubits(self, step: int) -> list[int]:
-        return self._block(step, self.state_bits + self.action_bits, self.state_bits)
+        return self.register_qubits("next", step)
 
     def reward_qubits(self, step: int) -> list[int]:
-        return self._block(step, 2 * self.state_bits + self.action_bits, self.reward_bits)
+        return self.register_qubits("reward", step)
 
     def return_qubits(self) -> list[int]:
-        base = self.steps * self.step_width
-        return list(range(base, base + self.return_bits))
-
-    @cached_property
-    def _step_registers(self) -> tuple[tuple[list[int], ...], ...]:
-        # (state, action, next, reward) qubits of every step, resolved once
-        return tuple(
-            (self.state_qubits(t), self.action_qubits(t), self.next_qubits(t), self.reward_qubits(t))
-            for t in range(self.steps)
-        )
-
-    def register_qubits(self, role: str, step: int = 0) -> list[int]:
-        """Qubits of a named register; roles: state, action, next, reward, return."""
-        if role == "state":
-            return self.state_qubits(step)
-        if role == "action":
-            return self.action_qubits(step)
-        if role == "next":
-            return self.next_qubits(step)
-        if role == "reward":
-            return self.reward_qubits(step)
-        if role == "return":
-            return self.return_qubits()
-        raise ValueError(f"unknown register role {role!r}")
+        return self.register_qubits("return")
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,14 @@ class TrajectoryRecord:
     """A decoded trajectory: per-step (state, action, next, reward) tuples.
 
     ``probability`` is the exact model probability under uniform action choice
-    where known, ``count`` the sampled shot count where known; either may be
-    ``None`` when the record came from a context that does not define it.
+    where known, ``None`` when the record came from a context that does not
+    define it.
     """
 
     steps: tuple[tuple[int, int, int, int], ...]
     total_return: int
     bitstring: str
     probability: float | None = None
-    count: int | None = None
 
 
 def probability_order(probability: float, bitstring: str) -> tuple[float, str]:
@@ -140,22 +140,16 @@ def field_value(index, qubits: list[int]):
     return value
 
 
-def field_index(value: int, qubits: list[int]) -> int:
-    """The inverse of :func:`field_value`: the basis index holding ``value`` on
-    ``qubits`` (LSB first) and zeros everywhere else."""
-    if not 0 <= value < 1 << len(qubits):
-        raise ValueError(f"value {value} does not fit a {len(qubits)}-bit register")
-    index = 0
-    for j, q in enumerate(qubits):
-        index |= ((value >> j) & 1) << q
-    return index
+def _does_not_fit(value: int, width: int) -> ValueError:
+    return ValueError(f"value {value} does not fit a {width}-bit register")
 
 
 def value_pattern(qubits: list[int], value: int) -> tuple[tuple[int, int], ...]:
     """(qubit, bit) pairs matching exactly the basis states that hold
     ``value`` on ``qubits`` (LSB first)."""
-    index = field_index(value, qubits)
-    return tuple((q, (index >> q) & 1) for q in qubits)
+    if not 0 <= value < 1 << len(qubits):
+        raise _does_not_fit(value, len(qubits))
+    return tuple((q, (value >> j) & 1) for j, q in enumerate(qubits))
 
 
 def pattern_mask(pattern) -> tuple[int, int]:
@@ -170,17 +164,23 @@ def pattern_mask(pattern) -> tuple[int, int]:
 
 
 def encode_index(layout: RegisterLayout, steps: list[tuple[int, int, int, int]], total_return: int) -> int:
-    """Pack per-step tuples and the return value into a basis index."""
+    """Pack per-step tuples and the return value into a basis index.
+
+    Without a return register the total is not stored; it only has to be
+    non-negative.
+    """
     if len(steps) != layout.steps:
         raise ValueError(f"expected {layout.steps} steps, got {len(steps)}")
-    index = 0
-    for values, registers in zip(steps, layout._step_registers):
-        for value, qubits in zip(values, registers):
-            index |= field_index(value, qubits)
+    values = [value for step in steps for value in step]
     if layout.return_bits:
-        index |= field_index(total_return, layout.return_qubits())
+        values.append(total_return)
     elif total_return < 0:
         raise ValueError(f"return {total_return} is negative")
+    index = 0
+    for value, (offset, width) in zip(values, layout.fields):
+        if not 0 <= value < 1 << width:
+            raise _does_not_fit(value, width)
+        index |= value << offset
     return index
 
 
@@ -194,14 +194,12 @@ def decode_index(layout: RegisterLayout, index: int) -> TrajectoryRecord:
     Without a return register the total return is the sum of step rewards;
     with one it is read from the register bits.
     """
-    steps = [
-        tuple([field_value(index, qubits) for qubits in registers]) for registers in layout._step_registers
-    ]
-    if layout.return_bits:
-        total = field_value(index, layout.return_qubits())
-    else:
+    values = [(index >> offset) & ((1 << width) - 1) for offset, width in layout.fields]
+    total = values.pop()
+    steps = tuple(zip(*[iter(values)] * len(STEP_ROLES)))  # each run of four values is one step
+    if not layout.return_bits:
         total = sum(r for _, _, _, r in steps)
-    return TrajectoryRecord(steps=tuple(steps), total_return=total, bitstring=bitstring_of(layout, index))
+    return TrajectoryRecord(steps=steps, total_return=total, bitstring=bitstring_of(layout, index))
 
 
 def decode_trajectory(layout: RegisterLayout, bitstring: str) -> TrajectoryRecord:

@@ -14,19 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .layout import decode_trajectory, probability_order, value_pattern
+from .layout import ROLES, decode_trajectory, probability_order, value_pattern
 from .prepare import PreparedModel
 from .sim import Circuit
-
-_ROLES = ("state", "action", "next", "reward", "return")
 
 
 @dataclass(frozen=True)
 class OracleSpec:
     """What to mark: an exact running total, per-step register values, or both.
 
-    ``constraints`` entries are (role, step, value) with role one of state,
-    action, next, reward, return; the step of a return constraint is
+    ``constraints`` entries are (role, step, value) with role one of the
+    layout's :data:`~qmdp.layout.ROLES`; the step of a return constraint is
     ignored. All constraints are conjoined.
     """
 
@@ -42,7 +40,7 @@ class OracleSpec:
         if self.target_return is None and not self.constraints:
             raise ValueError("oracle needs a target total or at least one constraint")
         for role, _, _ in self.constraints:
-            if role not in _ROLES:
+            if role not in ROLES:
                 raise ValueError(f"unknown register role {role!r}")
 
 

@@ -287,7 +287,10 @@ class DenseState(_StateBase):
         for q, b in gate.controls:
             index[self._axis(q)] = b
         if gate.kind == FLIP:
-            grid[tuple(index)] *= -1.0
+            # Exact negation in place, signed zeros as in the sparse kernel;
+            # the Ellipsis keeps a view when every axis is a control.
+            view = grid[(*index, ...)]
+            np.negative(view, out=view)
             return self
         axis = self._axis(gate.target)
         index[axis] = 0

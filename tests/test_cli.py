@@ -9,11 +9,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from qmdp import MdpSpec, Transition, bundled_mdp, save
 from qmdp.cli import CliError, _counts_csv, main
 from qmdp.classical import enumerate_trajectories
+
+from conftest import random_mdp
 
 
 def run(capsys, *argv):
@@ -165,12 +168,34 @@ GOLDEN = {
             "ql.json": "fbc333c5ffe7d6c7c6fc8b50b4d5003e2b6fdf504eebffaed8f2046a8e9e5198",
         },
     ),
+    # {model}: 8 states, 2 actions, rewards (6, 2, 5, 7, 5, 4, 7, 7), uniform
+    # start; 3-bit state and reward fields and a 4-bit return field.
+    "simulate-random8-t2": (
+        ["simulate", "--mdp", "{model}", "--steps", "2", "--out", "{dir}/traj.csv"],
+        {
+            "traj.csv": "8206bc4935c54aed42bf75b8c90432df19b2a22b73f3292d1404651953f6798d",
+        },
+    ),
+    "enumerate-random8-t2": (
+        ["enumerate", "--mdp", "{model}", "--steps", "2", "--format", "json", "--out", "{dir}/catalog.json"],
+        {
+            "catalog.json": "8a093ffa13ba060f17913d931ef99fba56c881579f5e09702e473e26958de625",
+        },
+    ),
 }
 
 
+@pytest.fixture(scope="module")
+def random8_model(tmp_path_factory):
+    spec = random_mdp(np.random.default_rng(8), num_states=8, num_actions=2, max_reward=7)
+    path = tmp_path_factory.mktemp("model") / "random8.json"
+    path.write_text(save(spec), encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("argv, digests", list(GOLDEN.values()), ids=list(GOLDEN))
-def test_artifacts_match_golden_digests(capsys, tmp_path, argv, digests):
-    code, _, _ = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+def test_artifacts_match_golden_digests(capsys, tmp_path, random8_model, argv, digests):
+    code, _, _ = run(capsys, *(arg.format(dir=tmp_path, model=random8_model) for arg in argv))
     assert code == 0
     assert sorted(os.listdir(tmp_path)) == sorted(digests)
     written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}

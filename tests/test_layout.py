@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmdp.layout import (
+    STEP_ROLES,
     RegisterLayout,
     TrajectoryRecord,
     bitstring_of,
@@ -11,6 +14,7 @@ from qmdp.layout import (
     decode_trajectory,
     encode_index,
     field_value,
+    value_pattern,
 )
 from qmdp.mdp import bundled_mdp
 
@@ -149,3 +153,51 @@ def test_zero_reward_model_has_no_reward_bits():
     index = encode_index(layout, steps, 0)
     decoded = decode_index(layout, index)
     assert (decoded.steps, decoded.total_return) == (steps, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([2, 3, 4, 8]),
+    num_actions=st.sampled_from([1, 2, 4]),
+    max_reward=st.sampled_from([0, 1, 3, 7]),
+    steps=st.integers(1, 3),
+    include_return=st.booleans(),
+    data=st.data(),
+)
+def test_field_codec_matches_per_qubit_gather(seed, num_states, num_actions, max_reward, steps,
+                                              include_return, data):
+    # max_reward=0 gives zero-width reward and return fields
+    spec = random_mdp(np.random.default_rng(seed), num_states, num_actions, max_reward)
+    layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
+    index = data.draw(st.integers(0, (1 << layout.num_qubits) - 1))
+    record = decode_index(layout, index)
+    gathered = tuple(
+        tuple(field_value(index, layout.register_qubits(role, t)) for role in STEP_ROLES)
+        for t in range(steps)
+    )
+    assert record.steps == gathered
+    if layout.return_bits:
+        assert record.total_return == field_value(index, layout.return_qubits())
+    else:
+        assert record.total_return == sum(r for _, _, _, r in gathered)
+    assert encode_index(layout, record.steps, record.total_return) == index
+
+    # one register pushed just out of its range
+    registers = [(role, t) for t in range(steps) for role in STEP_ROLES]
+    if layout.return_bits:
+        registers.append(("return", 0))
+    role, t = data.draw(st.sampled_from(registers))
+    width = len(layout.register_qubits(role, t))
+    bad = data.draw(st.sampled_from([-1, 1 << width]))
+    steps_in = [list(step) for step in record.steps]
+    total = record.total_return
+    if role == "return":
+        total = bad
+    else:
+        steps_in[t][STEP_ROLES.index(role)] = bad
+    message = f"value {bad} does not fit a {width}-bit register"
+    with pytest.raises(ValueError, match=message):
+        encode_index(layout, [tuple(step) for step in steps_in], total)
+    with pytest.raises(ValueError, match=message):
+        value_pattern(layout.register_qubits(role, t), bad)

@@ -340,6 +340,35 @@ def test_sparse_preparation_matches_dict_kernel_bytewise(spec, steps, initial):
     assert len(state._amps) == len(amps) > 1
 
 
+def test_flip_leaves_the_same_signed_zeros_on_both_backends():
+    dumps = [
+        prepare_zero(2, backend).apply(Gate("h", 0)).phase_flip(((0, 1),)).dump()
+        for backend in ("sparse", "dense")
+    ]
+    assert dumps[0] == dumps[1]
+    assert dumps[0].splitlines()[1] == "01 -0.7071067811865475 -0.0"
+
+
+def test_dense_flip_matches_dict_kernel_bytewise():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        vec = random_vector(rng, n)
+        # real-only, imaginary-only, zero and negative-zero entries carry signed zeros
+        kind = rng.integers(0, 5, size=1 << n)
+        vec = np.select(
+            [kind == 0, kind == 1, kind == 2, kind == 3],
+            [vec.real + 0j, 1j * vec.imag, np.zeros_like(vec), np.full_like(vec, complex(-0.0, -0.0))],
+            vec,
+        )
+        k = int(rng.integers(0, n + 1))  # k == n puts a control on every axis
+        controls = tuple((int(q), int(rng.integers(0, 2))) for q in rng.permutation(n)[:k])
+        gate = Gate("flip", None, controls=controls)
+        amps = dict_apply(dict(enumerate(vec)), gate)
+        state = DenseState(n, vec.copy()).apply(gate)
+        assert state._amps.tobytes() == np.array([amps[i] for i in range(1 << n)]).tobytes()
+
+
 def test_validation_rejects_malformed_gates():
     with pytest.raises(ValueError):
         Gate("t", 0)
