@@ -1,9 +1,9 @@
 """Classical references for the quantum pipeline.
 
-Exhaustive trajectory enumeration under the uniform action model, exact
-expected return, finite-horizon value iteration, tabular Q-learning and
-greedy rollouts. The enumerator is the ground truth the circuit simulation
-is checked against; nothing here touches amplitudes.
+Exhaustive trajectory enumeration, exact expected return, finite-horizon
+value iteration, tabular Q-learning and greedy rollouts, all over the
+:attr:`~qmdp.mdp.MdpSpec.successors` rows the circuit encodes. The enumerator
+is the ground truth the simulation is checked against; no amplitudes here.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import RegisterLayout, TrajectoryRecord, bitstring_of, encode_index
-from .mdp import MdpSpec, support, validated
+from .layout import RegisterLayout, TrajectoryRecord, bitstring_of
+from .mdp import MdpSpec, validated
 
 
 def enumerate_trajectories(
@@ -26,7 +26,8 @@ def enumerate_trajectories(
     start (``initial=None``) and 1 for a fixed start. Records are sorted by
     canonical bit string and carry exact probabilities. ``include_return``
     controls whether the bit string carries the total register, matching
-    the circuit layout built with the same flag.
+    the circuit layout built with the same flag. The walk ORs each step's
+    fields into the basis index as it descends; a leaf adds only the return.
     """
     validated(spec)
     layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
@@ -38,34 +39,28 @@ def enumerate_trajectories(
         starts = [(initial, 1.0)]
 
     action_weight = 1.0 / spec.num_actions
-    supports = {
-        (s, a): sorted(support(spec, s, a).items())
-        for s in range(spec.num_states)
-        for a in range(spec.num_actions)
-    }
+    successors, rewards, fields = spec.successors, spec.rewards, layout.fields
     out: list[TrajectoryRecord] = []
 
-    def walk(state: int, depth: int, prob: float, acc: list[tuple[int, int, int, int]], ret: int) -> None:
+    def walk(state: int, depth: int, prob: float, acc: list, ret: int, index: int) -> None:
         if depth == steps:
-            index = encode_index(layout, acc, ret)
-            out.append(
-                TrajectoryRecord(
-                    steps=tuple(acc),
-                    total_return=ret,
-                    bitstring=bitstring_of(layout, index),
-                    probability=prob,
-                )
-            )
+            if layout.return_bits:
+                index |= ret << fields[-1][0]
+            out.append(TrajectoryRecord(tuple(acc), ret, bitstring_of(layout, index), prob))
             return
+        (s_at, _), (a_at, _), (n_at, _), (r_at, _) = fields[4 * depth:4 * depth + 4]  # STEP_ROLES order
+        index |= state << s_at
         for a in range(spec.num_actions):
-            for nxt, p in supports[state, a]:
-                r = spec.rewards[nxt]
+            with_action = index | a << a_at
+            for nxt, p in successors[state, a]:
+                r = rewards[nxt]
                 acc.append((state, a, nxt, r))
-                walk(nxt, depth + 1, prob * action_weight * p, acc, ret + r)
+                walk(nxt, depth + 1, prob * action_weight * p, acc, ret + r,
+                     with_action | nxt << n_at | r << r_at)
                 acc.pop()
 
     for s0, p0 in starts:
-        walk(s0, 0, p0, [], 0)
+        walk(s0, 0, p0, [], 0, 0)
     out.sort(key=lambda rec: rec.bitstring)
     return out
 
@@ -100,12 +95,10 @@ def value_iteration(spec: MdpSpec, horizon: int) -> ValueIterationResult:
     policy = np.zeros((horizon + 1, spec.num_states), dtype=np.int64)
     for k in range(1, horizon + 1):
         for s in range(spec.num_states):
-            returns = np.zeros(spec.num_actions)
-            for a in range(spec.num_actions):
-                returns[a] = sum(
-                    p * (spec.rewards[nxt] + values[k - 1][nxt])
-                    for nxt, p in sorted(support(spec, s, a).items())
-                )
+            returns = [
+                sum(p * (spec.rewards[nxt] + values[k - 1][nxt]) for nxt, p in spec.successors[s, a])
+                for a in range(spec.num_actions)
+            ]
             policy[k][s] = int(np.argmax(returns))  # first max wins ties
             values[k][s] = returns[policy[k][s]]
     return ValueIterationResult(values=values, policy=policy)
@@ -130,13 +123,9 @@ class QlConfig:
 
 
 def _transition_tables(spec: MdpSpec):
-    nexts, cums = {}, {}
-    for s in range(spec.num_states):
-        for a in range(spec.num_actions):
-            entries = sorted(support(spec, s, a).items())
-            nexts[s, a] = np.array([n for n, _ in entries], dtype=np.int64)
-            cums[s, a] = np.cumsum(np.array([p for _, p in entries]))
-    return nexts, cums
+    rows = spec.successors.items()
+    nexts = {key: np.array([n for n, _ in row], dtype=np.int64) for key, row in rows}
+    return nexts, {key: np.cumsum([p for _, p in row]) for key, row in rows}
 
 
 def _draw_start(rng: np.random.Generator, num_states: int, initial: int | None) -> int:
@@ -177,6 +166,8 @@ def q_learning(spec: MdpSpec, config: QlConfig = QlConfig()) -> np.ndarray:
     draw), so a seed pins the whole run.
     """
     validated(spec)
+    if config.horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {config.horizon}")
     rng = np.random.default_rng(config.seed)
     nexts, cums = _transition_tables(spec)
     q = np.zeros((spec.num_states, spec.num_actions))
@@ -223,6 +214,8 @@ def greedy_rollouts(
     best observed trajectory comes first.
     """
     validated(spec)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.default_rng(seed)
     nexts, cums = _transition_tables(spec)
     policy = greedy_policy(qtable)

@@ -317,6 +317,8 @@ def _cmd_qlearn(args) -> int:
         raise CliError("qlearn draws training samples; --seed is required")
     if args.shots < 1:
         raise CliError(f"--shots (rollout trials) must be >= 1, got {args.shots}")
+    if args.steps < 1:  # the message simulate, search and enumerate give
+        raise CliError(f"steps must be >= 1, got {args.steps}")
     spec = _load_spec(args.mdp)
     initial = resolve_start(spec, _parse_start(args.start))
     training_spec = replace(spec, initial=initial)

@@ -8,12 +8,12 @@ T-1 down to step 0, each step as reward | next | action | state. This module
 is pure bookkeeping; it knows nothing about gates or amplitudes.
 
 Register geometry has one owner, :attr:`RegisterLayout.fields`: every
-register as a bit field, its lowest qubit and its width. The accessors,
-:func:`encode_index` and :func:`decode_index` all read that table, the codec
-by shift and mask. The module also owns the general gather
-:func:`field_value` over any qubit list, :func:`value_pattern`,
-:func:`pattern_mask` and :func:`probability_order`, the order of trajectory
-listings.
+register as a bit field, its lowest qubit and its width. The accessors, the
+codec and the enumerator's walk all read that table, by shift and mask.
+Readout builds each record from a basis index with :func:`decode_index`;
+:func:`decode_trajectory` only parses printed strings. The module also owns
+:func:`field_value`, :func:`value_pattern`, :func:`pattern_mask` and
+:func:`probability_order`, the order of trajectory listings.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class RegisterLayout:
     def step_width(self) -> int:
         return 2 * self.state_bits + self.action_bits + self.reward_bits
 
-    @property
+    @cached_property
     def num_qubits(self) -> int:
         return self.steps * self.step_width + self.return_bits
 
@@ -188,8 +188,8 @@ def bitstring_of(layout: RegisterLayout, index: int) -> str:
     return format(index, f"0{layout.num_qubits}b")
 
 
-def decode_index(layout: RegisterLayout, index: int) -> TrajectoryRecord:
-    """Unpack a basis index into a :class:`TrajectoryRecord`.
+def decode_index(layout: RegisterLayout, index: int, probability: float | None = None) -> TrajectoryRecord:
+    """Unpack a basis index into a :class:`TrajectoryRecord` with ``probability``.
 
     Without a return register the total return is the sum of step rewards;
     with one it is read from the register bits.
@@ -199,7 +199,7 @@ def decode_index(layout: RegisterLayout, index: int) -> TrajectoryRecord:
     steps = tuple(zip(*[iter(values)] * len(STEP_ROLES)))  # each run of four values is one step
     if not layout.return_bits:
         total = sum(r for _, _, _, r in steps)
-    return TrajectoryRecord(steps=steps, total_return=total, bitstring=bitstring_of(layout, index))
+    return TrajectoryRecord(steps, total, bitstring_of(layout, index), probability)
 
 
 def decode_trajectory(layout: RegisterLayout, bitstring: str) -> TrajectoryRecord:

@@ -1,16 +1,17 @@
 """Finite MDP model shared by the quantum and classical pipelines.
 
-An :class:`MdpSpec` is an immutable description of a finite Markov decision
-process with non-negative integer rewards attached to the successor state.
-Parsing, validation, JSON round trips and the bundled four-state demo chain
-live here; everything downstream (circuit compilation, enumeration, learning)
-consumes validated specs unchanged.
+An :class:`MdpSpec` is an immutable finite Markov decision process with
+non-negative integer rewards on the successor state; its cached
+:attr:`~MdpSpec.successors` table owns the P(s'|s,a) rows that circuit
+compilation, enumeration and learning all read. Parsing, validation, JSON
+round trips and the bundled four-state demo chain live here too.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 PROB_TOL = 1e-9
 
@@ -61,6 +62,17 @@ class MdpSpec:
     @property
     def max_reward(self) -> int:
         return max(self.rewards) if self.rewards else 0
+
+    @cached_property
+    def successors(self) -> dict[tuple[int, int], tuple[tuple[int, float], ...]]:
+        """(state, action) -> its (next state, probability) rows, built in one
+        pass: pairs and next states ascend, probability-0 rows are dropped."""
+        rows = {(s, a): {} for s in range(self.num_states) for a in range(self.num_actions)}
+        for tr in self.transitions:  # transitions are sorted, next states ascend
+            row = rows.get((tr.state, tr.action))  # None for a pair out of range
+            if row is not None and tr.prob > 0.0:
+                row[tr.next_state] = row.get(tr.next_state, 0.0) + tr.prob
+        return {key: tuple(row.items()) for key, row in rows.items()}
 
 
 def validate(spec: MdpSpec) -> list[str]:
@@ -148,19 +160,14 @@ def resolve_start(spec: MdpSpec, start: int | str | None) -> int | None:
 
 
 def support(spec: MdpSpec, state: int, action: int) -> dict[int, float]:
-    """Successor distribution for one (state, action) pair.
-
-    Keys ascend by next state; entries with probability exactly 0 are dropped.
-    """
+    """Successor distribution for one (state, action) pair, its
+    :attr:`MdpSpec.successors` row as a dict: keys ascend by next state,
+    entries with probability exactly 0 are dropped."""
     if not 0 <= state < spec.num_states:
         raise ValueError(f"state {state} outside [0, {spec.num_states})")
     if not 0 <= action < spec.num_actions:
         raise ValueError(f"action {action} outside [0, {spec.num_actions})")
-    out: dict[int, float] = {}
-    for tr in spec.transitions:  # transitions are sorted, keys ascend
-        if tr.state == state and tr.action == action and tr.prob > 0.0:
-            out[tr.next_state] = out.get(tr.next_state, 0.0) + tr.prob
-    return out
+    return dict(spec.successors[state, action])
 
 
 def _require(doc: dict, key: str, kind: type, where: str):

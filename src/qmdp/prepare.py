@@ -6,7 +6,8 @@ then per step an amplitude-encoded transition and reward marking, a copy of
 the landed state into the next step's state register, and finally one
 reversible accumulation of all per-step rewards into the total register.
 Running it on a fresh zero state yields a superposition whose basis-state
-probabilities match the classical trajectory distribution exactly.
+probabilities match the classical trajectory distribution exactly; readout
+decodes each live (basis index, amplitude) pair straight into a record.
 
 Encoding choices that matter downstream:
 
@@ -27,10 +28,11 @@ Encoding choices that matter downstream:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .layout import RegisterLayout, TrajectoryRecord, decode_trajectory, probability_order, value_pattern
-from .mdp import MdpSpec, resolve_start, support, validated
+from .layout import RegisterLayout, TrajectoryRecord, decode_index, probability_order, value_pattern
+from .layout import decode_trajectory  # noqa: F401  perfbench/tracer.py wraps prepare.decode_trajectory
+from .mdp import MdpSpec, resolve_start, validated
 from .sim import Circuit, prepare_zero
 
 _CERTAIN_TOL = 1e-12
@@ -112,12 +114,12 @@ def build_transition(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, st
     action_qubits = layout.action_qubits(step)
     next_qubits = layout.next_qubits(step)
     size = 1 << layout.state_bits
-    for s in range(spec.num_states):
-        for a in range(spec.num_actions):
-            branch = support(spec, s, a)
-            probs = [branch.get(v, 0.0) for v in range(size)]
-            controls = value_pattern(state_qubits, s) + value_pattern(action_qubits, a)
-            _encode_distribution(circuit, next_qubits, probs, controls)
+    for (s, a), row in spec.successors.items():
+        probs = [0.0] * size
+        for nxt, p in row:
+            probs[nxt] = p
+        controls = value_pattern(state_qubits, s) + value_pattern(action_qubits, a)
+        _encode_distribution(circuit, next_qubits, probs, controls)
 
 
 def build_reward(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, step: int) -> None:
@@ -219,14 +221,13 @@ def build_preparation(
 
 
 def simulate_distribution(prepared: PreparedModel, backend: str = "sparse") -> list[TrajectoryRecord]:
-    """Run the circuit and decode every nonzero basis state.
+    """Run the circuit and decode every live index, probability ``abs(a) ** 2``.
 
     Records are sorted by :func:`~qmdp.layout.probability_order`:
     descending probability, then bit string.
     """
-    state = prepared.prepare_state(backend)
-    records = []
-    for bits, prob in state.probabilities().items():
-        records.append(replace(decode_trajectory(prepared.layout, bits), probability=prob))
+    layout = prepared.layout
+    items = prepared.prepare_state(backend).nonzero_items()
+    records = [decode_index(layout, index, abs(a) ** 2) for index, a in items]
     records.sort(key=lambda r: probability_order(r.probability, r.bitstring))
     return records

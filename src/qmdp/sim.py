@@ -182,22 +182,19 @@ class _StateBase:
     def nonzero_items(self) -> list[tuple[int, complex]]:
         """(basis index, amplitude) pairs, ascending index."""
         idx, amps = self._nonzero()
-        return [(int(i), complex(a)) for i, a in zip(idx, amps)]
+        return list(zip(idx.tolist(), amps.tolist()))
 
     def probabilities(self) -> dict[str, float]:
         """Nonzero basis probabilities keyed by printed bit string."""
-        idx, amps = self._nonzero()
-        return {self.bitstring(int(i)): float(abs(a) ** 2) for i, a in zip(idx, amps)}
+        return {self.bitstring(i): abs(a) ** 2 for i, a in self.nonzero_items()}
 
     def pattern_items(self, pattern: Controls) -> list[tuple[int, float]]:
-        """(index, probability) over nonzero basis states matching a pattern."""
+        """(index, probability) over nonzero basis states matching a pattern,
+        ascending index; the selection is the kernel's ``idx & mask == want``."""
         mask, want = pattern_mask(pattern)
         idx, amps = self._nonzero()
-        out = []
-        for i, a in zip(idx, amps):
-            if int(i) & mask == want:
-                out.append((int(i), float(abs(a) ** 2)))
-        return out
+        hit = (idx & mask) == want
+        return [(i, abs(a) ** 2) for i, a in zip(idx[hit].tolist(), amps[hit].tolist())]
 
     def pattern_probability(self, pattern: Controls) -> float:
         return float(sum(p for _, p in self.pattern_items(pattern)))

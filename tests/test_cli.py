@@ -344,6 +344,20 @@ def test_out_of_range_fixed_start(capsys, argv):
     assert err == "error: start state 9 outside 0..3\n"  # one message, no traceback
 
 
+@pytest.mark.parametrize("steps", [0, -2])
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["search", "--target-return", "max"],
+    ["enumerate"],
+    ["qlearn", "--seed", "1"],
+], ids=["simulate", "search", "enumerate", "qlearn"])
+def test_non_positive_steps_are_refused(capsys, argv, steps):
+    code, out, err = run(capsys, *argv, "--steps", str(steps))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: steps must be >= 1, got {steps}\n"  # one message, no traceback
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate"],
     ["search", "--target-return", "max"],

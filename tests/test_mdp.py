@@ -129,3 +129,29 @@ def test_random_models_validate():
         spec = random_mdp(rng)
         assert validate(spec) == []
         assert load(save(spec)) == spec
+
+
+def test_successor_table_rows():
+    zero_row = MdpSpec(2, 1, (
+        Transition(0, 0, 0, 0.0), Transition(0, 0, 1, 1.0),
+        Transition(1, 0, 0, 0.25), Transition(1, 0, 1, 0.75),
+    ), (0, 1))
+    rng = np.random.default_rng(5)
+    models = [bundled_mdp(), zero_row] + [random_mdp(rng, n, a) for n, a in ((2, 1), (4, 2), (8, 4))]
+    for spec in models:
+        table = spec.successors
+        pairs = {(s, a) for s in range(spec.num_states) for a in range(spec.num_actions)}
+        assert set(table) == pairs
+        for (s, a), row in table.items():
+            nexts = [n for n, _ in row]
+            assert nexts == sorted(set(nexts))
+            assert all(p > 0.0 for _, p in row)
+            assert support(spec, s, a) == dict(row)
+        with pytest.raises(ValueError, match=rf"state {spec.num_states} outside \[0, {spec.num_states}\)"):
+            support(spec, spec.num_states, 0)
+        with pytest.raises(ValueError, match=r"state -1 outside"):
+            support(spec, -1, 0)
+        with pytest.raises(ValueError, match=rf"action {spec.num_actions} outside \[0, {spec.num_actions}\)"):
+            support(spec, 0, spec.num_actions)
+    assert zero_row.successors[0, 0] == ((1, 1.0),)
+    assert bundled_mdp().successors[0, 0] == ((1, 0.6), (2, 0.4))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmdp.classical import enumerate_trajectories, expected_return
 from qmdp.layout import RegisterLayout
@@ -19,21 +21,23 @@ from qmdp.sim import Circuit, SparseState
 from conftest import random_mdp
 
 
-def distribution_map(records):
-    return {r.bitstring: r.probability for r in records}
+def trajectory_map(records):
+    return {r.bitstring: r for r in records}
 
 
 def assert_matches_enumerator(spec, steps, initial, backend="sparse", include_return=True):
     prepared = build_preparation(spec, steps, initial=initial, include_return=include_return)
-    got = distribution_map(simulate_distribution(prepared, backend))
+    got = trajectory_map(simulate_distribution(prepared, backend))
     classical_initial = None if initial in (None, "uniform") else initial
     if initial is None:
         classical_initial = spec.initial
-    want = distribution_map(
+    want = trajectory_map(
         enumerate_trajectories(spec, steps, classical_initial, include_return=include_return)
     )
     assert set(got) == set(want), "support differs from the enumerator"
-    worst = max(abs(got[k] - want[k]) for k in got)
+    for bits, record in got.items():
+        assert (record.steps, record.total_return) == (want[bits].steps, want[bits].total_return), bits
+    worst = max(abs(got[k].probability - want[k].probability) for k in got)
     assert worst < 1e-9, f"L-infinity gap {worst}"
 
 
@@ -105,6 +109,28 @@ def test_random_models_match_enumerator():
         spec = random_mdp(rng)
         assert_matches_enumerator(spec, 1, "uniform")
         assert_matches_enumerator(spec, 2, int(rng.integers(4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([2, 4, 8]),
+    num_actions=st.sampled_from([1, 2, 4]),
+    max_reward=st.sampled_from([0, 1, 3, 7]),
+    steps=st.integers(1, 3),
+    include_return=st.booleans(),
+    dense=st.booleans(),
+    data=st.data(),
+)
+def test_random_models_match_enumerator_record_for_record(seed, num_states, num_actions, max_reward,
+                                                          steps, include_return, dense, data):
+    # Layouts the golden digests do not pin: zero-width reward and return
+    # fields, one-action models, 3-bit states and rewards.
+    spec = random_mdp(np.random.default_rng(seed), num_states, num_actions, max_reward)
+    initial = data.draw(st.one_of(st.just("uniform"), st.integers(0, num_states - 1)))
+    width = RegisterLayout.for_mdp(spec, steps, include_return=include_return).num_qubits
+    backend = "dense" if dense and width <= 20 else "sparse"
+    assert_matches_enumerator(spec, steps, initial, backend, include_return)
 
 
 def test_spec_initial_is_the_default_start(bundled):
