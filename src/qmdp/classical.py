@@ -2,8 +2,9 @@
 
 Exhaustive trajectory enumeration, exact expected return, finite-horizon
 value iteration, tabular Q-learning and greedy rollouts, all over the
-:attr:`~qmdp.mdp.MdpSpec.successors` rows the circuit encodes. The enumerator
-is the ground truth the simulation is checked against; no amplitudes here.
+:attr:`~qmdp.mdp.MdpSpec.successors` rows the circuit encodes; draws walk a
+row with a running sum, no derived table. The enumerator is the ground truth
+the simulation is checked against; no amplitudes here.
 """
 
 from __future__ import annotations
@@ -59,8 +60,11 @@ def enumerate_trajectories(
                      with_action | nxt << n_at | r << r_at)
                 acc.pop()
 
-    for s0, p0 in starts:
-        walk(s0, 0, p0, [], 0, 0)
+    try:
+        for s0, p0 in starts:
+            walk(s0, 0, p0, [], 0, 0)
+    except RecursionError:  # one frame per step
+        raise ValueError(f"horizon {steps} is too deep for the recursive enumerator") from None
     out.sort(key=lambda rec: rec.bitstring)
     return out
 
@@ -122,25 +126,24 @@ class QlConfig:
     seed: int = 0
 
 
-def _transition_tables(spec: MdpSpec):
-    rows = spec.successors.items()
-    nexts = {key: np.array([n for n, _ in row], dtype=np.int64) for key, row in rows}
-    return nexts, {key: np.cumsum([p for _, p in row]) for key, row in rows}
-
-
 def _draw_start(rng: np.random.Generator, num_states: int, initial: int | None) -> int:
     """The fixed start, or one uniform draw over the states when it is None."""
     return int(rng.integers(num_states)) if initial is None else initial
 
 
-def _draw_successor(rng: np.random.Generator, nexts: np.ndarray, cum: np.ndarray) -> int:
-    """One inverse-CDF draw of a successor state from its cumulative probabilities."""
-    pick = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
-    return int(nexts[pick])
+def _draw_successor(rng: np.random.Generator, row: tuple[tuple[int, float], ...]) -> int:
+    """Inverse CDF: the first next state whose running probability exceeds
+    ``rng.random()``, else the row's last (its total may fall ulps short of 1)."""
+    u, total = rng.random(), 0.0
+    for nxt, p in row:
+        total += p
+        if total > u:
+            break
+    return nxt
 
 
 def q_update(
-    qtable: np.ndarray,
+    qtable: list[list[float]] | np.ndarray,
     state: int,
     action: int,
     reward: float,
@@ -149,9 +152,10 @@ def q_update(
     gamma: float,
 ) -> None:
     """One tabular update in place:
-    Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))."""
-    target = reward + gamma * float(np.max(qtable[next_state]))
-    qtable[state, action] += alpha * (target - qtable[state, action])
+    Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)), on per-state
+    lists of floats (as :func:`q_learning` keeps them) or a 2-D array."""
+    target = reward + gamma * max(qtable[next_state])
+    qtable[state][action] += alpha * (target - qtable[state][action])
 
 
 def q_learning(spec: MdpSpec, config: QlConfig = QlConfig()) -> np.ndarray:
@@ -169,20 +173,19 @@ def q_learning(spec: MdpSpec, config: QlConfig = QlConfig()) -> np.ndarray:
     if config.horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {config.horizon}")
     rng = np.random.default_rng(config.seed)
-    nexts, cums = _transition_tables(spec)
-    q = np.zeros((spec.num_states, spec.num_actions))
-    rewards = spec.rewards
+    q = [[0.0] * spec.num_actions for _ in range(spec.num_states)]
+    successors, rewards = spec.successors, spec.rewards
     for _ in range(config.episodes):
         s = _draw_start(rng, spec.num_states, spec.initial)
         for _ in range(config.horizon):
             if rng.random() < config.epsilon:
                 a = int(rng.integers(spec.num_actions))
             else:
-                a = int(np.argmax(q[s]))
-            nxt = _draw_successor(rng, nexts[s, a], cums[s, a])
+                a = q[s].index(max(q[s]))  # first max wins ties
+            nxt = _draw_successor(rng, successors[s, a])
             q_update(q, s, a, rewards[nxt], nxt, config.alpha, config.gamma)
             s = nxt
-    return q
+    return np.array(q)
 
 
 def greedy_policy(qtable: np.ndarray) -> np.ndarray:
@@ -217,15 +220,14 @@ def greedy_rollouts(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.default_rng(seed)
-    nexts, cums = _transition_tables(spec)
-    policy = greedy_policy(qtable)
+    policy = greedy_policy(qtable).tolist()
     seen: dict[tuple, int] = {}
     for _ in range(trials):
         s = _draw_start(rng, spec.num_states, initial)
         steps = []
         for _ in range(horizon):
-            a = int(policy[s])
-            nxt = _draw_successor(rng, nexts[s, a], cums[s, a])
+            a = policy[s]
+            nxt = _draw_successor(rng, spec.successors[s, a])
             steps.append((s, a, nxt, spec.rewards[nxt]))
             s = nxt
         key = tuple(steps)

@@ -27,7 +27,7 @@ from .layout import decode_trajectory, probability_order
 from .mdp import bundled_mdp, load, resolve_start
 from .prepare import build_preparation, simulate_distribution
 from .search import OracleSpec, grover_search
-from .sim import format_circuit
+from .sim import check_width, format_circuit
 
 TRAJECTORY_NUMBER_NOTE = (
     "# trajectory is the 1-based rank of the bitstring among all"
@@ -292,6 +292,7 @@ def _cmd_search(args) -> int:
     prepared = build_preparation(spec, args.steps, initial=_parse_start(args.start))
     if args.dump_circuit:
         _write_artifact(format_circuit(prepared.circuit), args.dump_circuit)
+    check_width(prepared.layout.num_qubits, args.backend)  # before 'max' enumerates the catalog
     target = _resolve_target(args.target_return, spec, args.steps, prepared.initial)
     report = grover_search(
         prepared,

@@ -13,10 +13,10 @@ Encoding choices that matter downstream:
 
 * Branch probabilities enter through Ry rotations, theta = 2*arcsin(sqrt(p)),
   settled most significant bit first with controls on the already settled
-  bits. Certain branches (p of 0 or 1) emit no rotation; the 1 branch is a
-  plain multi-controlled X. Basis states outside the reachable set therefore
-  hold an exact zero, never rotation dust, so the support of the simulated
-  state equals the support of the classical enumeration on both backends.
+  bits. The compiler is exact: only a branch of exactly 0 or 1 emits no
+  rotation (1 is a plain multi-controlled X) and no nonzero branch is cut,
+  so unreachable basis states hold an exact zero and the simulated support
+  equals the enumerator's; the one cut is the sparse ``PRUNE_TOL`` pruning.
 * Rewards are marked by controlled X gates reading the landed state; when
   the reward table is the identity the marking collapses to one CNOT per
   bit.
@@ -35,15 +35,12 @@ from .layout import decode_trajectory  # noqa: F401  perfbench/tracer.py wraps p
 from .mdp import MdpSpec, resolve_start, validated
 from .sim import Circuit, prepare_zero
 
-_CERTAIN_TOL = 1e-12
-
 
 def theta_for(probability: float) -> float:
     """Rotation angle sending |0> to sqrt(1-p)|0> + sqrt(p)|1>."""
-    if not -_CERTAIN_TOL <= probability <= 1.0 + _CERTAIN_TOL:
+    if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability {probability} outside [0, 1]")
-    clamped = min(1.0, max(0.0, probability))
-    return 2.0 * math.asin(math.sqrt(clamped))
+    return 2.0 * math.asin(math.sqrt(probability))
 
 
 def _encode_distribution(circuit, qubits, probs, base_controls):
@@ -62,17 +59,19 @@ def _encode_distribution(circuit, qubits, probs, base_controls):
         mass0 = sum(probs[lo:mid])
         mass1 = sum(probs[mid:hi])
         mass = mass0 + mass1
-        if mass <= _CERTAIN_TOL:
+        if mass == 0.0:
             return
         qubit = qubits[bit_index]
-        share = mass1 / mass
-        if share <= _CERTAIN_TOL:
+        if mass1 == 0.0:
             node(bit_index - 1, lo, mid, controls)
-        elif share >= 1.0 - _CERTAIN_TOL:
+        elif mass0 == 0.0:
             circuit.x(qubit, controls)
             node(bit_index - 1, mid, hi, controls)
         else:
-            circuit.ry(theta_for(share), qubit, controls)
+            share = mass1 / mass
+            # share rounds to 1 when mass0 is below an ulp of mass1: the complement keeps it
+            theta = theta_for(share) if share < 1.0 else math.pi - theta_for(mass0 / mass)
+            circuit.ry(theta, qubit, controls)
             node(bit_index - 1, lo, mid, controls + ((qubit, 0),))
             node(bit_index - 1, mid, hi, controls + ((qubit, 1),))
 

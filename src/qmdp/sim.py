@@ -154,6 +154,23 @@ def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
     return c, -s, s, c
 
 
+def check_width(num_qubits: int, backend: str) -> None:
+    """Refuse a width the backend cannot hold; callers check before costly work."""
+    if num_qubits < 1:
+        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+    if backend == "dense" and num_qubits > DENSE_QUBIT_LIMIT:
+        raise ValueError(
+            f"dense backend capacity exceeded: {num_qubits} qubits needs "
+            f"{(2**num_qubits * 16) >> 20} MiB of amplitudes, limit is "
+            f"{DENSE_QUBIT_LIMIT} qubits (1 GiB); use the sparse backend"
+        )
+    if backend == "sparse" and num_qubits > SPARSE_QUBIT_LIMIT:
+        raise ValueError(
+            f"sparse backend capacity exceeded: {num_qubits} qubits, limit is "
+            f"{SPARSE_QUBIT_LIMIT} (64-bit basis indices); use fewer steps or a smaller model"
+        )
+
+
 class _StateBase:
     """Behavior shared by both backends; subclasses store amplitudes."""
 
@@ -257,14 +274,7 @@ class DenseState(_StateBase):
     backend = "dense"
 
     def __init__(self, num_qubits: int, amps: np.ndarray | None = None):
-        if num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-        if num_qubits > DENSE_QUBIT_LIMIT:
-            raise ValueError(
-                f"dense backend capacity exceeded: {num_qubits} qubits needs "
-                f"{(2**num_qubits * 16) >> 20} MiB of amplitudes, limit is "
-                f"{DENSE_QUBIT_LIMIT} qubits (1 GiB); use the sparse backend"
-            )
+        check_width(num_qubits, self.backend)
         self.num_qubits = num_qubits
         if amps is None:
             amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -329,13 +339,7 @@ class SparseState(_StateBase):
     backend = "sparse"
 
     def __init__(self, num_qubits: int, amps: dict[int, complex] | None = None):
-        if num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-        if num_qubits > SPARSE_QUBIT_LIMIT:
-            raise ValueError(
-                f"sparse backend capacity exceeded: {num_qubits} qubits, limit is "
-                f"{SPARSE_QUBIT_LIMIT} (64-bit basis indices); use fewer steps or a smaller model"
-            )
+        check_width(num_qubits, self.backend)
         self.num_qubits = num_qubits
         amps = {0: 1.0 + 0.0j} if amps is None else amps
         keys = sorted(amps)

@@ -8,9 +8,12 @@ file may import from the quantum modules.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmdp.classical import (
     QlConfig,
+    _draw_successor,
     enumerate_trajectories,
     expected_return,
     greedy_policy,
@@ -188,3 +191,34 @@ def test_greedy_rollouts_are_seed_deterministic(bundled):
     a = greedy_rollouts(bundled, table, 40, 3, None, seed=5)
     b = greedy_rollouts(bundled, table, 40, 3, None, seed=5)
     assert a == b
+
+
+class _FixedDraw:
+    """Stands in for a generator whose next ``random()`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+    ulps=st.integers(-4, 4),
+    data=st.data(),
+)
+def test_draw_successor_keeps_the_inverse_cdf_rule(weights, ulps, data):
+    probs = [w / sum(weights) for w in weights]
+    for _ in range(abs(ulps)):  # the total misses 1.0 by a few ulps
+        probs[-1] = float(np.nextafter(probs[-1], 2.0 if ulps > 0 else 0.0))
+    nexts = sorted(data.draw(st.sets(st.integers(0, 15), min_size=len(probs), max_size=len(probs))))
+    row = tuple(zip(nexts, probs))
+    cum = np.cumsum(probs)
+    total = float(cum[-1])
+    draws = [data.draw(st.floats(0.0, 1.0, exclude_max=True)), *cum.tolist(),
+             total, float(np.nextafter(total, 2.0))]
+    for u in draws:
+        pick = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+        assert _draw_successor(_FixedDraw(u), row) == nexts[pick], (row, u)

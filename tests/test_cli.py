@@ -182,6 +182,21 @@ GOLDEN = {
             "catalog.json": "8a093ffa13ba060f17913d931ef99fba56c881579f5e09702e473e26958de625",
         },
     ),
+    # Successor rows of up to 8 entries whose totals miss 1.0 by a few ulps.
+    "qlearn-random8-t4": (
+        ["qlearn", "--mdp", "{model}", "--steps", "4", "--start", "uniform", "--seed", "1",
+         "--out", "{dir}/ql.json"],
+        {
+            "ql.json": "03a1a27d97f76429e7c22ac2ab3b03df8cbc576ab2f8ebd96da6bdb16bd4560e",
+        },
+    ),
+    "qlearn-random8-fixed": (
+        ["qlearn", "--mdp", "{model}", "--steps", "2", "--start", "fixed:5", "--shots", "300",
+         "--seed", "7", "--out", "{dir}/ql.json"],
+        {
+            "ql.json": "da9b6a7371dea6dcb1c205ea8aa3fde612a8daa2d496c02e9236a98c7631488d",
+        },
+    ),
 }
 
 
@@ -375,6 +390,31 @@ def test_sparse_width_limit_is_refused(capsys, tmp_path, argv):
     assert "Traceback" not in err
     code, _, _ = run(capsys, "enumerate", *flags)
     assert code == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "10"], "error: sparse backend capacity exceeded: 75 qubits, limit is 63"),
+    (["--backend", "dense", "--steps", "4"], "error: dense backend capacity exceeded: 32 qubits"),
+], ids=["sparse", "dense"])
+def test_search_max_refuses_width_before_enumerating(capsys, monkeypatch, flags, message):
+    def enumerate_trajectories(*args, **kwargs):
+        raise AssertionError("the catalog was enumerated for a circuit the backend refuses")
+
+    monkeypatch.setattr("qmdp.cli.enumerate_trajectories", enumerate_trajectories)
+    code, out, err = run(capsys, "search", "--target-return", "max", "--start", "fixed:0", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+    assert err.count("\n") == 1  # one message, no traceback
+
+
+def test_enumerate_refuses_a_horizon_deeper_than_the_walk(capsys, tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text(save(MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (1,), 0)), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--mdp", str(path), "--steps", "1200")
+    assert code == 1
+    assert out == ""
+    assert err == "error: horizon 1200 is too deep for the recursive enumerator\n"
 
 
 def test_counts_outside_the_catalog_are_refused():

@@ -54,6 +54,22 @@ def test_theta_for_known_values():
         theta_for(1.1)
 
 
+@pytest.mark.parametrize("backend", ["sparse", "dense"])
+@pytest.mark.parametrize("eps", [1e-13, 1e-27])
+def test_tiny_branches_are_compiled(eps, backend):
+    # s0 -> s1 at eps, s1 absorbing, fixed start: at T=3 four trajectories,
+    # none with more than one eps factor
+    rare = MdpSpec(2, 1, (
+        Transition(0, 0, 0, 1.0 - eps), Transition(0, 0, 1, eps), Transition(1, 0, 1, 1.0),
+    ), (0, 1), 0)
+    assert_matches_enumerator(rare, 3, 0, backend)
+    # eps on the low side: its sibling's share of the node is 1 or within ulps of it
+    common = MdpSpec(2, 1, (
+        Transition(0, 0, 0, eps), Transition(0, 0, 1, 1.0 - eps), Transition(1, 0, 1, 1.0),
+    ), (0, 1), 0)
+    assert_matches_enumerator(common, 1, 0, backend)
+
+
 def test_single_step_support_is_exactly_fifteen(bundled):
     prepared = build_preparation(bundled, 1, initial="uniform", include_return=False)
     assert prepared.layout.num_qubits == 7
