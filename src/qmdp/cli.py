@@ -7,8 +7,10 @@ the classical catalog, and ``qlearn`` trains a Q-table and reports the
 greedy policy with rollout summaries.
 
 Artifacts go to ``--out`` when given (sibling files derive from its stem),
-otherwise to stdout. Identical flags and seed give byte-identical artifacts:
-every random draw is seeded, and all float text uses repr round-tripping.
+otherwise to stdout. ``simulate`` and ``enumerate`` write their trajectory
+tables, CSV or JSON, through one renderer, ``_trajectory_text``. Identical
+flags and seed give byte-identical artifacts: every random draw is seeded,
+and all float text uses repr round-tripping.
 The ``QMDP_THREADS`` environment variable caps internal parallelism; the
 simulation kernels are sequential, so any positive value is accepted and
 the cap is honored trivially.
@@ -20,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
 from .layout import decode_trajectory, probability_order
@@ -133,37 +135,26 @@ def _sibling_path(out: str, suffix: str, extension: str | None = None) -> str:
     return f"{stem}_{suffix}{extension if extension is not None else ext}"
 
 
-def _trajectory_rows(records, counts):
-    rows = []
-    for record in records:
-        count = "" if counts is None else str(counts.get(record.bitstring, 0))
-        row = [record.bitstring, str(record.total_return), _float_text(record.probability), count]
-        for s, a, nxt, r in record.steps:
-            row.extend([str(s), str(a), str(nxt), str(r)])
-        rows.append(row)
-    return rows
-
-
-def _trajectory_csv(records, steps, counts) -> str:
-    header = ["bitstring", "return", "prob", "count"]
-    for t in range(steps):
-        header.extend([f"s{t}", f"a{t}", f"sp{t}", f"r{t}"])
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in _trajectory_rows(records, counts))
-    return "\n".join(lines) + "\n"
-
-
-def _trajectory_json(records, counts) -> str:
-    rows = []
-    for record in records:
-        rows.append({
+def _trajectory_text(records, steps, counts, fmt: str) -> str:
+    """The simulate and enumerate table: one row per record, in the given
+    order; ``counts`` fills the count column (empty or null when None)."""
+    if fmt == "json":
+        rows = [{
             "bitstring": record.bitstring,
             "return": record.total_return,
             "prob": record.probability,
             "count": None if counts is None else counts.get(record.bitstring, 0),
             "steps": [list(step) for step in record.steps],
-        })
-    return json.dumps(rows, indent=2) + "\n"
+        } for record in records]
+        return json.dumps(rows, indent=2) + "\n"
+    lines = ["bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(steps))]
+    for record in records:
+        count = "" if counts is None else counts.get(record.bitstring, 0)
+        lines.append(
+            f"{record.bitstring},{record.total_return},{_float_text(record.probability)},{count}"
+            + "".join(f",{s},{a},{nxt},{r}" for s, a, nxt, r in record.steps)
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _transition_table_text(records, fmt: str) -> str:
@@ -196,11 +187,7 @@ def _cmd_simulate(args) -> int:
     counts = None
     if args.shots:
         counts = prepared.prepare_state(args.backend).sample(args.shots, args.seed)
-    if args.format == "csv":
-        text = _trajectory_csv(records, args.steps, counts)
-    else:
-        text = _trajectory_json(records, counts)
-    _write_artifact(text, args.out)
+    _write_artifact(_trajectory_text(records, args.steps, counts, args.format), args.out)
     if args.steps == 1 and args.out:
         extension = ".json" if args.format == "json" else ".csv"
         _write_artifact(
@@ -217,11 +204,7 @@ def _cmd_enumerate(args) -> int:
         enumerate_trajectories(spec, args.steps, initial, include_return=args.steps > 1),
         key=lambda r: probability_order(r.probability, r.bitstring),
     )
-    if args.format == "csv":
-        text = _trajectory_csv(records, args.steps, None)
-    else:
-        text = _trajectory_json(records, None)
-    _write_artifact(text, args.out)
+    _write_artifact(_trajectory_text(records, args.steps, None, args.format), args.out)
     return 0
 
 
@@ -325,21 +308,14 @@ def _cmd_qlearn(args) -> int:
     training_spec = replace(spec, initial=initial)
     config = QlConfig(seed=args.seed, horizon=args.steps)
     table = q_learning(training_spec, config)
-    policy = [int(a) for a in greedy_policy(table)]
+    policy = greedy_policy(table).tolist()
     policy_line = " ".join(f"s{s}:a{a}" for s, a in enumerate(policy))
     rollouts = greedy_rollouts(
         training_spec, table, trials=args.shots, horizon=args.steps, initial=initial, seed=args.seed
     )
     doc = {
-        "config": {
-            "alpha": config.alpha,
-            "gamma": config.gamma,
-            "epsilon": config.epsilon,
-            "episodes": config.episodes,
-            "horizon": config.horizon,
-            "seed": config.seed,
-        },
-        "q": [[float(v) for v in row] for row in table],
+        "config": asdict(config),
+        "q": table.tolist(),
         "policy": policy,
         "policy_line": policy_line,
         "rollouts": [

@@ -217,12 +217,16 @@ def load(document: str) -> MdpSpec:
         prob = entry["prob"]
         if not isinstance(prob, (int, float)) or isinstance(prob, bool):
             raise MdpFormatError(f"field 'prob' in {where} must be a number, got {prob!r}")
+        try:
+            prob = float(prob)
+        except OverflowError:  # an int beyond the float range; its digits are not echoed
+            raise MdpFormatError(f"field 'prob' in {where} is too large for a float") from None
         transitions.append(
             Transition(
                 state=_require(entry, "state", int, where),
                 action=_require(entry, "action", int, where),
                 next_state=_require(entry, "next", int, where),
-                prob=float(prob),
+                prob=prob,
             )
         )
 

@@ -12,11 +12,11 @@ complex128 amplitude array, which caps its width at 63 qubits.
 
 Determinism contract: reductions (norm, marginals, sampling) accumulate in a
 fixed sequential order over ascending basis indices, and sampling uses an
-inverse-CDF walk driven by ``numpy.random.default_rng(seed)``, so identical
-(amplitudes, shots, seed) give identical counts on either backend and any
-thread count. The kernels themselves are sequential; the ``QMDP_THREADS``
-environment variable documented by the CLI caps parallelism that the
-implementation never exceeds anyway.
+inverse-CDF walk driven by ``numpy.random.default_rng(seed)`` and refuses a
+missing seed, so identical (amplitudes, shots, seed) give identical counts
+on either backend and any thread count. The kernels themselves are
+sequential; the ``QMDP_THREADS`` environment variable documented by the CLI
+caps parallelism that the implementation never exceeds anyway.
 """
 
 from __future__ import annotations
@@ -236,11 +236,14 @@ class _StateBase:
         return dict(sorted(out.items()))
 
     def sample(self, shots: int, seed: int) -> dict[str, int]:
-        """Seeded counts by inverse CDF over ascending basis indices."""
+        """Seeded counts by inverse CDF, keyed by bit string in ascending basis
+        index order; drawing without a seed is refused."""
         if shots < 0:
             raise ValueError(f"shots must be >= 0, got {shots}")
         if shots == 0:
             return {}
+        if seed is None:
+            raise ValueError("sampling without a seed is not reproducible; pass one")
         idx, amps = self._nonzero()
         if len(idx) == 0:
             raise ValueError("cannot sample from an all-zero state")
@@ -249,11 +252,8 @@ class _StateBase:
         rng = np.random.default_rng(seed)
         u = rng.random(shots) * cum[-1]
         picks = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        counts: dict[str, int] = {}
-        for p in np.sort(picks):
-            key = self.bitstring(int(idx[int(p)]))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        tally = np.bincount(picks, minlength=len(cum))
+        return {self.bitstring(int(idx[p])): int(tally[p]) for p in np.flatnonzero(tally).tolist()}
 
     def phase_flip(self, pattern: Controls) -> "_StateBase":
         """Negate amplitudes of basis states matching the pattern."""

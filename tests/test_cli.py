@@ -4,15 +4,19 @@ Each test drives ``qmdp.cli.main`` in process and inspects artifacts,
 exit codes, and reproducibility guarantees.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmdp import MdpSpec, Transition, bundled_mdp, save
+from qmdp import MdpSpec, Transition, build_preparation, bundled_mdp, save
 from qmdp.cli import CliError, _counts_csv, main
 from qmdp.classical import enumerate_trajectories
 
@@ -146,6 +150,14 @@ GOLDEN = {
          "--backend", "dense", "--out", "{dir}/traj.csv"],
         {
             "traj.csv": "1c5e942778d308106d0db54e259fb4eb6030301e4d1a3ae85975c528dc65139b",
+        },
+    ),
+    # The one path that writes non-null counts into JSON.
+    "simulate-shots-json": (
+        ["simulate", "--steps", "3", "--start", "uniform", "--shots", "500", "--seed", "5",
+         "--format", "json", "--out", "{dir}/traj.json"],
+        {
+            "traj.json": "1abc54cf623b558b0721a1458dac7c33162123b0a3835eaa5ae77c7bca0ba4b3",
         },
     ),
     "enumerate-t3": (
@@ -415,6 +427,68 @@ def test_enumerate_refuses_a_horizon_deeper_than_the_walk(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: horizon 1200 is too deep for the recursive enumerator\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_integer_probability_beyond_float_range_is_refused(capsys, tmp_path, command):
+    doc = json.loads(save(bundled_mdp()))
+    doc["transitions"][0]["prob"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, command, "--mdp", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: field 'prob' in transitions[0] is too large for a float\n"
+
+
+def table_by_bitstring(text, fmt):
+    """bitstring -> (return, prob, steps) from a simulate or enumerate artifact."""
+    if fmt == "json":
+        return {row["bitstring"]: (row["return"], row["prob"], row["steps"]) for row in json.loads(text)}
+    table = {}
+    for row in csv_rows(text):
+        steps = [value for key, value in row.items() if key not in ("bitstring", "return", "prob", "count")]
+        table[row["bitstring"]] = (int(row["return"]), float(row["prob"]), steps)
+    return table
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([2, 4, 8]),
+    num_actions=st.sampled_from([1, 2, 4]),
+    max_reward=st.sampled_from([0, 1, 3, 7]),
+    steps=st.integers(1, 3),
+    fixed=st.one_of(st.none(), st.integers(0, 7)),
+    fmt=st.sampled_from(["csv", "json"]),
+    dense=st.booleans(),
+)
+def test_simulate_and_enumerate_agree_on_random_models(
+    tmp_path_factory, seed, num_states, num_actions, max_reward, steps, fixed, fmt, dense
+):
+    spec = random_mdp(np.random.default_rng(seed), num_states, num_actions, max_reward)
+    start = "uniform" if fixed is None else fixed % num_states
+    width = build_preparation(spec, steps, initial=start, include_return=steps > 1).layout.num_qubits
+    backend = "dense" if dense and width <= 20 else "sparse"
+    workdir = tmp_path_factory.mktemp("fuzz")
+    model = workdir / "model.json"
+    model.write_text(save(spec), encoding="utf-8")
+    flags = ["--mdp", str(model), "--steps", str(steps), "--format", fmt,
+             "--start", "uniform" if fixed is None else f"fixed:{start}"]
+    tables = []
+    for command, extra in (("simulate", ["--backend", backend]), ("enumerate", [])):
+        out = workdir / f"{command}.{fmt}"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, *flags, *extra, "--out", str(out)])
+        assert code == 0, stderr.getvalue()  # an exception escaping main fails here too
+        tables.append(table_by_bitstring(read(out), fmt))
+    simulated, enumerated = tables
+    assert simulated.keys() == enumerated.keys()
+    for bits, (ret, prob, step_values) in enumerated.items():
+        sim_ret, sim_prob, sim_steps = simulated[bits]
+        assert sim_ret == ret and sim_steps == step_values
+        assert abs(sim_prob - prob) < 1e-9
 
 
 def test_counts_outside_the_catalog_are_refused():

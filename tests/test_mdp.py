@@ -1,5 +1,7 @@
 """Model schema, validation, and the JSON document round trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,13 @@ def test_load_rejects_bad_documents():
         load('{"num_states": 1}')
     with pytest.raises(MdpFormatError):
         load(save(bundled_mdp()).replace('"initial": "uniform"', '"initial": "sometimes"'))
+
+
+def test_load_refuses_an_integer_probability_beyond_float_range():
+    doc = json.loads(save(bundled_mdp()))
+    doc["transitions"][0]["prob"] = 10**400
+    with pytest.raises(MdpFormatError, match=r"^field 'prob' in transitions\[0\] is too large for a float$"):
+        load(json.dumps(doc))
 
 
 def test_load_runs_validation():

@@ -424,6 +424,19 @@ def test_sample_rejects_bad_arguments():
     assert state.sample(0, seed=0) == {}
 
 
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_sample_refuses_a_missing_seed(backend):
+    state = build_preparation(bundled_mdp(), 2, initial=0).prepare_state(backend)
+    with pytest.raises(ValueError, match="sampling without a seed is not reproducible"):
+        state.sample(100, None)
+    assert state.sample(0, None) == {}
+    # One key per drawn basis index, ascending, as a per-shot tally gives.
+    counts = state.sample(500, seed=3)
+    assert list(counts) == sorted(counts)
+    assert sum(counts.values()) == 500
+    assert all(isinstance(n, int) and n > 0 for n in counts.values())
+
+
 def test_marginal_rejects_bad_qubits():
     state = prepare_zero(2, "dense")
     with pytest.raises(ValueError):
