@@ -3,8 +3,8 @@
 Exhaustive trajectory enumeration, exact expected return, finite-horizon
 value iteration, tabular Q-learning and greedy rollouts, all over the
 :attr:`~qmdp.mdp.MdpSpec.successors` rows the circuit encodes; draws walk a
-row with a running sum, no derived table. The enumerator is the ground truth
-the simulation is checked against; no amplitudes here.
+row with a running sum, no derived table. The enumerator, the ground truth
+the simulation is checked against, expands one step per pass; no amplitudes.
 """
 
 from __future__ import annotations
@@ -23,50 +23,39 @@ def enumerate_trajectories(
     """Every length-``steps`` trajectory with nonzero probability.
 
     The probability of a trajectory is P(s0) times, per step, 1/num_actions
-    times the transition probability; P(s0) is 1/num_states for a uniform
-    start (``initial=None``) and 1 for a fixed start. Records are sorted by
-    canonical bit string and carry exact probabilities. ``include_return``
-    controls whether the bit string carries the total register, matching
-    the circuit layout built with the same flag. The walk ORs each step's
-    fields into the basis index as it descends; a leaf adds only the return.
+    times the transition probability, left to right; P(s0) is 1/num_states
+    for a uniform start (``initial=None``) and 1 for a fixed start. Records
+    are sorted by canonical bit string and carry exact probabilities.
+    ``include_return`` controls whether the bit string carries the total
+    register, matching the circuit layout built with the same flag. The
+    frontier grows one step per pass; each edge ORs in its step-0 bits
+    shifted to the step's offset.
     """
     validated(spec)
     layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
-    if initial is None:
-        starts = [(s, 1.0 / spec.num_states) for s in range(spec.num_states)]
+    if _checked_start(spec, initial) is None:  # entries: (state, prob, return, index, steps)
+        frontier = [(s, 1.0 / spec.num_states, 0, 0, ()) for s in range(spec.num_states)]
     else:
-        if not 0 <= initial < spec.num_states:
-            raise ValueError(f"initial state {initial} outside [0, {spec.num_states})")
-        starts = [(initial, 1.0)]
+        frontier = [(initial, 1.0, 0, 0, ())]
 
-    action_weight = 1.0 / spec.num_actions
-    successors, rewards, fields = spec.successors, spec.rewards, layout.fields
-    out: list[TrajectoryRecord] = []
-
-    def walk(state: int, depth: int, prob: float, acc: list, ret: int, index: int) -> None:
-        if depth == steps:
-            if layout.return_bits:
-                index |= ret << fields[-1][0]
-            out.append(TrajectoryRecord(tuple(acc), ret, bitstring_of(layout, index), prob))
-            return
-        (s_at, _), (a_at, _), (n_at, _), (r_at, _) = fields[4 * depth:4 * depth + 4]  # STEP_ROLES order
-        index |= state << s_at
-        for a in range(spec.num_actions):
-            with_action = index | a << a_at
-            for nxt, p in successors[state, a]:
-                r = rewards[nxt]
-                acc.append((state, a, nxt, r))
-                walk(nxt, depth + 1, prob * action_weight * p, acc, ret + r,
-                     with_action | nxt << n_at | r << r_at)
-                acc.pop()
-
-    try:
-        for s0, p0 in starts:
-            walk(s0, 0, p0, [], 0, 0)
-    except RecursionError:  # one frame per step
-        raise ValueError(f"horizon {steps} is too deep for the recursive enumerator") from None
-    out.sort(key=lambda rec: rec.bitstring)
-    return out
+    action_weight, fields = 1.0 / spec.num_actions, layout.fields
+    (s_at, _), (a_at, _), (n_at, _), (r_at, _) = fields[:4]  # step 0, STEP_ROLES order
+    edges = [  # per state: (step, p, r, the step's bits at step 0)
+        [((s, a, nxt, r), p, r, s << s_at | a << a_at | nxt << n_at | r << r_at)
+         for a in range(spec.num_actions) for nxt, p in spec.successors[s, a] for r in [spec.rewards[nxt]]]
+        for s in range(spec.num_states)
+    ]
+    for depth in range(steps):
+        shift = fields[4 * depth][0]
+        frontier = [
+            (step[2], prob * action_weight * p, ret + r, index | bits << shift, path + (step,))
+            for state, prob, ret, index, path in frontier
+            for step, p, r, bits in edges[state]
+        ]
+    ret_at, ret_mask = fields[-1][0], (1 << layout.return_bits) - 1  # mask 0: no return register
+    records = (TrajectoryRecord(path, ret, bitstring_of(layout, index | (ret & ret_mask) << ret_at), prob)
+               for _, prob, ret, index, path in frontier)
+    return sorted(records, key=lambda rec: rec.bitstring)
 
 
 def expected_return(records: list[TrajectoryRecord]) -> float:
@@ -124,6 +113,13 @@ class QlConfig:
     episodes: int = 10000
     horizon: int = 3
     seed: int = 0
+
+
+def _checked_start(spec: MdpSpec, initial: int | None) -> int | None:
+    """``initial`` unchanged when it is None (uniform) or a state index, else ValueError."""
+    if initial is None or isinstance(initial, int) and 0 <= initial < spec.num_states:
+        return initial
+    raise ValueError(f"initial state {initial!r} is neither None nor a state in [0, {spec.num_states})")
 
 
 def _draw_start(rng: np.random.Generator, num_states: int, initial: int | None) -> int:
@@ -219,6 +215,7 @@ def greedy_rollouts(
     validated(spec)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _checked_start(spec, initial)
     rng = np.random.default_rng(seed)
     policy = greedy_policy(qtable).tolist()
     seen: dict[tuple, int] = {}

@@ -117,11 +117,14 @@ def validate(spec: MdpSpec) -> list[str]:
         seen.add(key)
         sums[tr.state, tr.action] = sums.get((tr.state, tr.action), 0.0) + tr.prob
 
-    for s in range(spec.num_states):
-        for a in range(spec.num_actions):
-            total = sums.get((s, a), 0.0)
-            if abs(total - 1.0) > PROB_TOL:
-                errors.append(f"transition probabilities for (s{s},a{a}) sum to {total!r}, expected 1")
+    for (s, a), total in sums.items():  # pairs ascend: the transitions are sorted
+        if abs(total - 1.0) > PROB_TOL:
+            errors.append(f"transition probabilities for (s{s},a{a}) sum to {total!r}, expected 1")
+    missing = spec.num_states * spec.num_actions - len(sums)
+    if missing:  # the first gap lies among the first len(sums) + 1 pairs
+        pairs = (divmod(k, spec.num_actions) for k in range(len(sums) + 1))
+        s, a = next(pair for pair in pairs if pair not in sums)
+        errors.append(f"{missing} (state, action) pairs have no transitions, the first (s{s},a{a})")
 
     if len(spec.rewards) != spec.num_states:
         errors.append(f"rewards must list one value per state, got {len(spec.rewards)} for {spec.num_states} states")

@@ -18,6 +18,7 @@ from dataclasses import replace
 from itertools import product
 
 import numpy as np
+import pytest
 
 from test_sim import as_vector, random_gate
 
@@ -305,6 +306,7 @@ def test_c7_simulator_property_suite():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_c8_scale_check():
     spec = bundled_mdp()
 

@@ -8,7 +8,7 @@ file may import from the quantum modules.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmdp.classical import (
@@ -22,7 +22,7 @@ from qmdp.classical import (
     q_update,
     value_iteration,
 )
-from qmdp.layout import TrajectoryRecord
+from qmdp.layout import RegisterLayout, TrajectoryRecord, decode_trajectory
 from qmdp.mdp import MdpSpec, Transition, support
 
 from conftest import random_mdp
@@ -77,6 +77,53 @@ def test_expected_return_values(bundled):
 def test_enumeration_rejects_bad_initial(bundled):
     with pytest.raises(ValueError):
         enumerate_trajectories(bundled, 1, 9)
+
+
+@pytest.mark.parametrize("initial", [9, -1, 2.5])
+def test_bad_starts_are_refused_by_name(bundled, initial):
+    table = np.zeros((bundled.num_states, bundled.num_actions))
+    message = f"initial state {initial!r} is neither None nor a state in \\[0, 4\\)"
+    with pytest.raises(ValueError, match=message):
+        enumerate_trajectories(bundled, 3, initial)
+    with pytest.raises(ValueError, match=message):
+        greedy_rollouts(bundled, table, 3, 2, initial=initial, seed=0)
+
+
+def _path_count(spec, steps, initial):
+    """Supported length-``steps`` paths, by a backward count over the rows."""
+    ways = [1] * spec.num_states
+    for _ in range(steps):
+        ways = [sum(ways[nxt] for a in range(spec.num_actions) for nxt, _ in spec.successors[s, a])
+                for s in range(spec.num_states)]
+    return sum(ways) if initial is None else ways[initial]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([2, 3, 4, 8]),
+    num_actions=st.sampled_from([1, 2, 3, 4]),  # 1/3 is inexact
+    steps=st.integers(1, 4),
+    fixed=st.one_of(st.none(), st.integers(0, 7)),
+    include_return=st.booleans(),
+)
+def test_enumerated_probabilities_are_products_of_their_own_steps(
+    seed, num_states, num_actions, steps, fixed, include_return
+):
+    spec = random_mdp(np.random.default_rng(seed), num_states, num_actions, max_reward=3)
+    initial = None if fixed is None else fixed % num_states
+    paths = _path_count(spec, steps, initial)
+    assume(paths <= 20000)  # 8 states, 4 actions and T = 4 reach about a million
+    layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
+    records = enumerate_trajectories(spec, steps, initial, include_return=include_return)
+    assert len(records) == paths
+    for record in records:
+        prob = 1.0 / num_states if initial is None else 1.0
+        for s, a, nxt, _ in record.steps:
+            prob = prob * (1.0 / num_actions) * dict(spec.successors[s, a])[nxt]
+        assert record.probability.hex() == prob.hex()
+        decoded = decode_trajectory(layout, record.bitstring)
+        assert (decoded.steps, decoded.total_return) == (record.steps, record.total_return)
 
 
 def test_random_spec_probabilities_sum_to_one():

@@ -220,7 +220,10 @@ def random8_model(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("argv, digests", list(GOLDEN.values()), ids=list(GOLDEN))
+@pytest.mark.parametrize("argv, digests", [
+    pytest.param(*case, id=name, marks=pytest.mark.slow if name == "simulate-shots-dense" else ())
+    for name, case in GOLDEN.items()
+])
 def test_artifacts_match_golden_digests(capsys, tmp_path, random8_model, argv, digests):
     code, _, _ = run(capsys, *(arg.format(dir=tmp_path, model=random8_model) for arg in argv))
     assert code == 0
@@ -420,13 +423,27 @@ def test_search_max_refuses_width_before_enumerating(capsys, monkeypatch, flags,
     assert err.count("\n") == 1  # one message, no traceback
 
 
-def test_enumerate_refuses_a_horizon_deeper_than_the_walk(capsys, tmp_path):
+def test_enumerate_expands_a_deep_horizon(capsys, tmp_path):
     path = tmp_path / "loop.json"
     path.write_text(save(MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (1,), 0)), encoding="utf-8")
     code, out, err = run(capsys, "enumerate", "--mdp", str(path), "--steps", "1200")
+    assert code == 0
+    assert err == ""
+    rows = csv_rows(out)
+    assert len(rows) == 1
+    assert rows[0]["return"] == "1200"
+
+
+def test_a_huge_state_count_is_refused_in_one_line(capsys, tmp_path):
+    doc = json.loads(save(bundled_mdp()))
+    doc["num_states"] = 10**30
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--mdp", str(path), "--steps", "1")
     assert code == 1
     assert out == ""
-    assert err == "error: horizon 1200 is too deep for the recursive enumerator\n"
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["simulate", "enumerate"])

@@ -84,6 +84,12 @@ def test_validate_requires_every_pair():
     assert any("(s1,a1)" in p for p in validate(spec))
 
 
+def test_validate_counts_missing_pairs_in_one_message(bundled):
+    problems = validate(MdpSpec(10**6, 2, bundled.transitions, bundled.rewards))
+    assert len(problems) <= 3
+    assert "1999992 (state, action) pairs have no transitions, the first (s4,a0)" in problems
+
+
 def test_support_drops_zero_probability_entries():
     spec = MdpSpec(2, 1, (
         Transition(0, 0, 0, 0.0), Transition(0, 0, 1, 1.0),

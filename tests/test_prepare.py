@@ -177,6 +177,7 @@ def test_support_soundness_on_random_models():
                 previous_next = nxt
 
 
+@pytest.mark.slow
 def test_amplitudes_are_real_and_non_negative(bundled):
     prepared = build_preparation(bundled, 3, initial="uniform")
     for backend in ("sparse", "dense"):
