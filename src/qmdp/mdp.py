@@ -10,10 +10,12 @@ round trips and the bundled four-state demo chain live here too.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 PROB_TOL = 1e-9
+ECHO_DIGITS = 40  # longer integers are echoed in messages by their digit count
 
 
 class MdpFormatError(ValueError):
@@ -75,6 +77,17 @@ class MdpSpec:
         return {key: tuple(row.items()) for key, row in rows.items()}
 
 
+def _echo(value, text=str) -> str:
+    """``text(value)`` for a message, or only the digit count of an integer
+    longer than ``ECHO_DIGITS`` digits, so a refusal stays one short line."""
+    if not isinstance(value, int) or abs(value) < 10**ECHO_DIGITS:
+        return text(value)
+    size = abs(value)
+    digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # exact or one short
+    digits += size >= 10**digits
+    return f"a {'negative ' if value < 0 else ''}{digits}-digit integer"
+
+
 def validate(spec: MdpSpec) -> list[str]:
     """Return every invariant violation, empty when the spec is valid.
 
@@ -85,55 +98,59 @@ def validate(spec: MdpSpec) -> list[str]:
     """
     errors: list[str] = []
     if spec.num_states < 1:
-        errors.append(f"num_states must be >= 1, got {spec.num_states}")
+        errors.append(f"num_states must be >= 1, got {_echo(spec.num_states)}")
     if spec.num_actions < 1:
-        errors.append(f"num_actions must be >= 1, got {spec.num_actions}")
+        errors.append(f"num_actions must be >= 1, got {_echo(spec.num_actions)}")
     if errors:
         return errors
 
     sums: dict[tuple[int, int], float] = {}
     seen: set[tuple[int, int, int]] = set()
+    states = f"[0, {_echo(spec.num_states)})"
     for tr in spec.transitions:
         if not 0 <= tr.state < spec.num_states:
-            errors.append(f"transition has state {tr.state} outside [0, {spec.num_states})")
+            errors.append(f"transition has state {_echo(tr.state)} outside {states}")
             continue
         if not 0 <= tr.action < spec.num_actions:
-            errors.append(f"transition has action {tr.action} outside [0, {spec.num_actions})")
+            errors.append(f"transition has action {_echo(tr.action)} outside [0, {_echo(spec.num_actions)})")
             continue
         if not 0 <= tr.next_state < spec.num_states:
             errors.append(
-                f"transition for (s{tr.state},a{tr.action}) has next state "
-                f"{tr.next_state} outside [0, {spec.num_states})"
+                f"transition for (s{_echo(tr.state)},a{_echo(tr.action)}) has next state "
+                f"{_echo(tr.next_state)} outside {states}"
             )
             continue
         if not 0.0 <= tr.prob <= 1.0:
             errors.append(
-                f"transition probability for (s{tr.state},a{tr.action}) must be "
+                f"transition probability for (s{_echo(tr.state)},a{_echo(tr.action)}) must be "
                 f"in [0, 1], got {tr.prob!r}"
             )
         key = (tr.state, tr.action, tr.next_state)
         if key in seen:
-            errors.append(f"duplicate transition entry for (s{tr.state},a{tr.action},s{tr.next_state})")
+            errors.append(
+                f"duplicate transition entry for "
+                f"(s{_echo(tr.state)},a{_echo(tr.action)},s{_echo(tr.next_state)})"
+            )
         seen.add(key)
         sums[tr.state, tr.action] = sums.get((tr.state, tr.action), 0.0) + tr.prob
 
     for (s, a), total in sums.items():  # pairs ascend: the transitions are sorted
         if abs(total - 1.0) > PROB_TOL:
-            errors.append(f"transition probabilities for (s{s},a{a}) sum to {total!r}, expected 1")
+            errors.append(f"transition probabilities for (s{_echo(s)},a{_echo(a)}) sum to {total!r}, expected 1")
     missing = spec.num_states * spec.num_actions - len(sums)
     if missing:  # the first gap lies among the first len(sums) + 1 pairs
         pairs = (divmod(k, spec.num_actions) for k in range(len(sums) + 1))
         s, a = next(pair for pair in pairs if pair not in sums)
-        errors.append(f"{missing} (state, action) pairs have no transitions, the first (s{s},a{a})")
+        errors.append(f"{_echo(missing)} (state, action) pairs have no transitions, the first (s{_echo(s)},a{_echo(a)})")
 
     if len(spec.rewards) != spec.num_states:
-        errors.append(f"rewards must list one value per state, got {len(spec.rewards)} for {spec.num_states} states")
+        errors.append(f"rewards must list one value per state, got {len(spec.rewards)} for {_echo(spec.num_states)} states")
     for s, r in enumerate(spec.rewards):
         if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-            errors.append(f"reward for s{s} must be a non-negative integer, got {r!r}")
+            errors.append(f"reward for s{s} must be a non-negative integer, got {_echo(r, repr)}")
 
     if spec.initial is not None and not 0 <= spec.initial < spec.num_states:
-        errors.append(f"initial state {spec.initial} outside [0, {spec.num_states})")
+        errors.append(f"initial state {_echo(spec.initial)} outside [0, {_echo(spec.num_states)})")
     return errors
 
 
@@ -158,7 +175,7 @@ def resolve_start(spec: MdpSpec, start: int | str | None) -> int | None:
     if not isinstance(start, int):
         raise ValueError(f"initial must be None, 'uniform' or a state index, got {start!r}")
     if not 0 <= start < spec.num_states:
-        raise ValueError(f"start state {start} outside 0..{spec.num_states - 1}")
+        raise ValueError(f"start state {_echo(start)} outside 0..{_echo(spec.num_states - 1)}")
     return start
 
 
@@ -167,9 +184,9 @@ def support(spec: MdpSpec, state: int, action: int) -> dict[int, float]:
     :attr:`MdpSpec.successors` row as a dict: keys ascend by next state,
     entries with probability exactly 0 are dropped."""
     if not 0 <= state < spec.num_states:
-        raise ValueError(f"state {state} outside [0, {spec.num_states})")
+        raise ValueError(f"state {_echo(state)} outside [0, {_echo(spec.num_states)})")
     if not 0 <= action < spec.num_actions:
-        raise ValueError(f"action {action} outside [0, {spec.num_actions})")
+        raise ValueError(f"action {_echo(action)} outside [0, {_echo(spec.num_actions)})")
     return dict(spec.successors[state, action])
 
 

@@ -6,9 +6,13 @@ pairs. Controlled gates act natively on the state, never decomposed into
 smaller gates. Qubit 0 is the least significant bit of the basis index;
 printed basis strings put the most significant qubit first.
 
-The dense backend holds all 2**n amplitudes in one array. The sparse backend
-holds only the live ones, as a sorted int64 basis-index array beside a
-complex128 amplitude array, which caps its width at 63 qubits.
+The dense backend holds all 2**n amplitudes in one array and runs each gate
+through it in place, chunk by chunk: ``CHUNK_QUBITS`` sets the chunk at 2**16
+amplitudes (1 MiB), and a gate's scratch buffers are at most two chunks. So
+dense peak memory is the array plus a few MiB, and ``DENSE_QUBIT_LIMIT``
+bounds the peak, not just the amplitudes. The sparse backend holds only the
+live amplitudes, as a sorted int64 basis-index array beside a complex128
+amplitude array, which caps its width at 63 qubits.
 
 Determinism contract: reductions (norm, marginals, sampling) accumulate in a
 fixed sequential order over ascending basis indices, and sampling uses an
@@ -37,6 +41,7 @@ _KINDS = (H, X, RY, FLIP)
 DENSE_QUBIT_LIMIT = 26  # 2**26 amplitudes, 1 GiB at 16 bytes each
 SPARSE_QUBIT_LIMIT = 63  # basis indices are non-negative int64
 PRUNE_TOL = 1e-14  # sparse entries below this magnitude are dropped
+CHUNK_QUBITS = 16  # dense gates work on 2**16 amplitudes (1 MiB) at a time
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 Controls = tuple[tuple[int, int], ...]
@@ -281,43 +286,64 @@ class DenseState(_StateBase):
             amps[0] = 1.0
         self._amps = amps
 
-    def _axis(self, qubit: int) -> int:
-        return self.num_qubits - 1 - qubit
-
     def apply(self, gate: Gate) -> "DenseState":
         n = self.num_qubits
         for q in gate.qubits():
             if q >= n:
                 raise ValueError(f"gate touches qubit {q} outside register of {n}")
-        grid = self._amps.reshape((2,) * n)
-        index: list = [slice(None)] * n
-        for q, b in gate.controls:
-            index[self._axis(q)] = b
         if gate.kind == FLIP:
             # Exact negation in place, signed zeros as in the sparse kernel;
             # the Ellipsis keeps a view when every axis is a control.
-            view = grid[(*index, ...)]
+            index: list = [slice(None)] * n
+            for q, b in gate.controls:
+                index[n - 1 - q] = b
+            view = self._amps.reshape((2,) * n)[(*index, ...)]
             np.negative(view, out=view)
             return self
-        axis = self._axis(gate.target)
-        index[axis] = 0
-        sel0 = tuple(index)
-        index[axis] = 1
-        sel1 = tuple(index)
-        a0 = grid[sel0]
-        a1 = grid[sel1]
+        # Rows of 2**c amplitudes, each a (2,)*c grid; qubit q < c is axis
+        # c-1-q of a row and qubit q >= c is bit q-c of the row number.
+        c = min(CHUNK_QUBITS, n)
+        rows = self._amps.reshape((-1,) + (2,) * c)
+        index = [slice(None)] * c
+        mask = want = 0
+        for q, b in gate.controls:
+            if q < c:
+                index[c - 1 - q] = b
+            else:
+                mask |= 1 << (q - c)
+                want |= b << (q - c)
+        if gate.target < c:  # both halves of the pair lie in one row
+            index[c - 1 - gate.target] = 0
+            sel0 = (*index, ...)
+            index[c - 1 - gate.target] = 1
+            sel1 = (*index, ...)
+            partner = 0
+        else:  # row r pairs with row r | partner; want keeps that bit clear
+            sel0 = sel1 = (*index, ...)
+            partner = 1 << (gate.target - c)
+            mask |= partner
+        pairs = [(rows[r][sel0], rows[r | partner][sel1]) for r in range(len(rows)) if r & mask == want]
+        buf = np.empty_like(pairs[0][0])
         if gate.kind == X:
-            tmp = a0.copy()
-            grid[sel0] = a1
-            grid[sel1] = tmp
+            for a0, a1 in pairs:
+                np.copyto(buf, a0)
+                np.copyto(a0, a1)
+                np.copyto(a1, buf)
             return self
         m00, m01, m10, m11 = _gate_matrix(gate)
-        # Both outputs are formed before either slice is overwritten, and the
-        # multiply-then-add shape matches the sparse kernel bit for bit.
-        new0 = m00 * a0 + m01 * a1
-        new1 = m10 * a0 + m11 * a1
-        grid[sel0] = new0
-        grid[sel1] = new1
+        tmp = np.empty_like(buf)
+        for a0, a1 in pairs:
+            # new0 is formed before a0 is overwritten and a1 is scaled in place
+            # only once new0 no longer needs it; the multiply-then-add shape,
+            # m00 * a0 + m01 * a1 and m10 * a0 + m11 * a1, matches the sparse
+            # kernel bit for bit.
+            np.multiply(m00, a0, out=buf)
+            np.multiply(m01, a1, out=tmp)
+            np.add(buf, tmp, out=buf)
+            np.multiply(m10, a0, out=tmp)
+            np.multiply(m11, a1, out=a1)
+            np.add(tmp, a1, out=a1)
+            np.copyto(a0, buf)
         return self
 
     def _nonzero(self):

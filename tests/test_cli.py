@@ -446,6 +446,24 @@ def test_a_huge_state_count_is_refused_in_one_line(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["state", "action", "next", "initial"])
+def test_a_huge_integer_is_echoed_by_its_digit_count(capsys, tmp_path, field):
+    doc = json.loads(save(bundled_mdp()))
+    if field == "initial":
+        doc["initial"] = {"fixed": 10**400}
+    else:
+        doc["transitions"][0][field] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--mdp", str(path), "--steps", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid MDP spec: ")
+    assert err.count("\n") == 1
+    assert "a 401-digit integer outside [0, " in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("command", ["simulate", "enumerate"])
 def test_integer_probability_beyond_float_range_is_refused(capsys, tmp_path, command):
     doc = json.loads(save(bundled_mdp()))

@@ -3,10 +3,13 @@
 The reference builds each gate as a full 2**n by 2**n matrix from Kronecker
 products of 2x2 blocks and control projectors, a deliberately different code
 path from either backend kernel. The sparse array kernel is also held to
-byte equality with a per-amplitude dict kernel kept here as its reference.
+byte equality with a per-amplitude dict kernel kept here as its reference,
+and the chunked dense kernel with the whole-array step it replaced.
 """
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_mdp
+import qmdp.sim as sim
 from qmdp import bundled_mdp
 from qmdp.layout import pattern_mask
 from qmdp.prepare import build_preparation
@@ -349,24 +353,99 @@ def test_flip_leaves_the_same_signed_zeros_on_both_backends():
     assert dumps[0].splitlines()[1] == "01 -0.7071067811865475 -0.0"
 
 
+def signed_zero_vector(rng, n):
+    """A random vector whose real-only, imaginary-only, zero and negative-zero
+    entries carry signed zeros."""
+    vec = random_vector(rng, n)
+    kind = rng.integers(0, 5, size=1 << n)
+    return np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [vec.real + 0j, 1j * vec.imag, np.zeros_like(vec), np.full_like(vec, complex(-0.0, -0.0))],
+        vec,
+    )
+
+
 def test_dense_flip_matches_dict_kernel_bytewise():
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(1, 7))
-        vec = random_vector(rng, n)
-        # real-only, imaginary-only, zero and negative-zero entries carry signed zeros
-        kind = rng.integers(0, 5, size=1 << n)
-        vec = np.select(
-            [kind == 0, kind == 1, kind == 2, kind == 3],
-            [vec.real + 0j, 1j * vec.imag, np.zeros_like(vec), np.full_like(vec, complex(-0.0, -0.0))],
-            vec,
-        )
+        vec = signed_zero_vector(rng, n)
         k = int(rng.integers(0, n + 1))  # k == n puts a control on every axis
         controls = tuple((int(q), int(rng.integers(0, 2))) for q in rng.permutation(n)[:k])
         gate = Gate("flip", None, controls=controls)
         amps = dict_apply(dict(enumerate(vec)), gate)
         state = DenseState(n, vec.copy()).apply(gate)
         assert state._amps.tobytes() == np.array([amps[i] for i in range(1 << n)]).tobytes()
+
+
+def dense_reference_apply(amps, gate):
+    """One gate on a whole 2**n amplitude array in place, through half-array
+    temporaries: the dense kernel before it worked chunk by chunk."""
+    n = len(amps).bit_length() - 1
+    grid = amps.reshape((2,) * n)
+    index: list = [slice(None)] * n
+    for q, b in gate.controls:
+        index[n - 1 - q] = b
+    if gate.kind == "flip":
+        view = grid[(*index, ...)]
+        np.negative(view, out=view)
+        return amps
+    axis = n - 1 - gate.target
+    index[axis] = 0
+    sel0 = tuple(index)
+    index[axis] = 1
+    sel1 = tuple(index)
+    a0 = grid[sel0]
+    a1 = grid[sel1]
+    if gate.kind == "x":
+        tmp = a0.copy()
+        grid[sel0] = a1
+        grid[sel1] = tmp
+        return amps
+    m00, m01, m10, m11 = _gate_matrix(gate)
+    new0 = m00 * a0 + m01 * a1
+    new1 = m10 * a0 + m11 * a1
+    grid[sel0] = new0
+    grid[sel1] = new1
+    return amps
+
+
+def test_chunked_dense_kernel_matches_reference_bytewise(monkeypatch):
+    rng = np.random.default_rng(37)
+    sides = Counter()  # (what, below or above the chunk boundary) pairs covered
+    for chunk in (2, 3):
+        monkeypatch.setattr(sim, "CHUNK_QUBITS", chunk)
+        for _ in range(150):
+            n = int(rng.integers(chunk, 9))  # n == chunk is a single chunk
+            vec = signed_zero_vector(rng, n)
+            state, amps = DenseState(n, vec.copy()), vec.copy()
+            for _ in range(int(rng.integers(1, 12))):
+                gate = random_gate(rng, n)
+                if gate.kind != "flip":
+                    sides["target", gate.target >= chunk] += 1
+                    sides.update(("control", q >= chunk) for q, _ in gate.controls)
+                state.apply(gate)
+                dense_reference_apply(amps, gate)
+                assert state._amps.tobytes() == amps.tobytes()
+    assert min(sides[what, above] for what in ("target", "control") for above in (False, True)) > 50
+
+
+@pytest.mark.parametrize("gate", [
+    Gate("h", 0),
+    Gate("h", 19),
+    Gate("x", 19),
+    Gate("ry", 3, 0.7, ((17, 1),)),
+    Gate("ry", 18, -1.1, ((2, 0),)),
+], ids=["h-q0", "h-q19", "x-q19", "ry-q3-control-q17", "ry-q18-control-q2"])
+def test_a_dense_gate_allocates_a_few_mib_at_most(gate):
+    state = DenseState(20, random_vector(np.random.default_rng(41), 20))  # 16 MiB of amplitudes
+    tracemalloc.start()
+    try:
+        state.apply(gate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_validation_rejects_malformed_gates():
