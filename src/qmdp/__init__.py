@@ -25,8 +25,8 @@ from .mdp import (
     Transition,
     bundled_mdp,
     load,
+    resolve_start,
     save,
-    support,
     validate,
     validated,
 )
@@ -92,9 +92,9 @@ __all__ = [
     "load",
     "prepare_zero",
     "q_learning",
+    "resolve_start",
     "save",
     "simulate_distribution",
-    "support",
     "theta_for",
     "validate",
     "validated",

@@ -14,17 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import RegisterLayout, TrajectoryRecord, bitstring_of
-from .mdp import MdpSpec, validated
+from .mdp import MdpSpec, resolve_start, validated
 
 
 def enumerate_trajectories(
-    spec: MdpSpec, steps: int, initial: int | None, include_return: bool = True
+    spec: MdpSpec, steps: int, initial: int | str | None, include_return: bool = True
 ) -> list[TrajectoryRecord]:
     """Every length-``steps`` trajectory with nonzero probability.
 
-    The probability of a trajectory is P(s0) times, per step, 1/num_actions
-    times the transition probability, left to right; P(s0) is 1/num_states
-    for a uniform start (``initial=None``) and 1 for a fixed start. Records
+    ``initial`` is resolved by :func:`~qmdp.mdp.resolve_start`: None keeps
+    the model's own start, "uniform" makes it uniform and a state index pins
+    it. The probability of a trajectory is P(s0) times, per step,
+    1/num_actions times the transition probability, left to right; P(s0) is
+    1/num_states for a uniform start and 1 for a fixed start. Records
     are sorted by canonical bit string and carry exact probabilities.
     ``include_return`` controls whether the bit string carries the total
     register, matching the circuit layout built with the same flag. The
@@ -33,10 +35,11 @@ def enumerate_trajectories(
     """
     validated(spec)
     layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
-    if _checked_start(spec, initial) is None:  # entries: (state, prob, return, index, steps)
+    spec = resolve_start(spec, initial)
+    if spec.initial is None:  # entries: (state, prob, return, index, steps)
         frontier = [(s, 1.0 / spec.num_states, 0, 0, ()) for s in range(spec.num_states)]
     else:
-        frontier = [(initial, 1.0, 0, 0, ())]
+        frontier = [(spec.initial, 1.0, 0, 0, ())]
 
     action_weight, fields = 1.0 / spec.num_actions, layout.fields
     (s_at, _), (a_at, _), (n_at, _), (r_at, _) = fields[:4]  # step 0, STEP_ROLES order
@@ -115,16 +118,10 @@ class QlConfig:
     seed: int = 0
 
 
-def _checked_start(spec: MdpSpec, initial: int | None) -> int | None:
-    """``initial`` unchanged when it is None (uniform) or a state index, else ValueError."""
-    if initial is None or isinstance(initial, int) and 0 <= initial < spec.num_states:
-        return initial
-    raise ValueError(f"initial state {initial!r} is neither None nor a state in [0, {spec.num_states})")
-
-
-def _draw_start(rng: np.random.Generator, num_states: int, initial: int | None) -> int:
-    """The fixed start, or one uniform draw over the states when it is None."""
-    return int(rng.integers(num_states)) if initial is None else initial
+def _draw_start(rng: np.random.Generator, spec: MdpSpec) -> int:
+    """The fixed start ``spec.initial``, or one uniform draw over the states
+    when it is None."""
+    return int(rng.integers(spec.num_states)) if spec.initial is None else spec.initial
 
 
 def _draw_successor(rng: np.random.Generator, row: tuple[tuple[int, float], ...]) -> int:
@@ -172,7 +169,7 @@ def q_learning(spec: MdpSpec, config: QlConfig = QlConfig()) -> np.ndarray:
     q = [[0.0] * spec.num_actions for _ in range(spec.num_states)]
     successors, rewards = spec.successors, spec.rewards
     for _ in range(config.episodes):
-        s = _draw_start(rng, spec.num_states, spec.initial)
+        s = _draw_start(rng, spec)
         for _ in range(config.horizon):
             if rng.random() < config.epsilon:
                 a = int(rng.integers(spec.num_actions))
@@ -204,23 +201,25 @@ def greedy_rollouts(
     qtable: np.ndarray,
     trials: int,
     horizon: int,
-    initial: int | None,
+    initial: int | str | None,
     seed: int,
 ) -> list[RolloutRecord]:
     """Run seeded greedy-policy rollouts and deduplicate the trajectories.
 
-    Results sort by descending total reward, then by the step tuples, so the
+    ``initial`` is resolved by :func:`~qmdp.mdp.resolve_start`, as in
+    :func:`enumerate_trajectories`: None keeps the model's own start. Results
+    sort by descending total reward, then by the step tuples, so the
     best observed trajectory comes first.
     """
     validated(spec)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    _checked_start(spec, initial)
+    spec = resolve_start(spec, initial)
     rng = np.random.default_rng(seed)
     policy = greedy_policy(qtable).tolist()
     seen: dict[tuple, int] = {}
     for _ in range(trials):
-        s = _draw_start(rng, spec.num_states, initial)
+        s = _draw_start(rng, spec)
         steps = []
         for _ in range(horizon):
             a = policy[s]

@@ -10,10 +10,9 @@ Artifacts go to ``--out`` when given (sibling files derive from its stem),
 otherwise to stdout. ``simulate`` and ``enumerate`` write their trajectory
 tables, CSV or JSON, through one renderer, ``_trajectory_text``. Identical
 flags and seed give byte-identical artifacts: every random draw is seeded,
-and all float text uses repr round-tripping.
-The ``QMDP_THREADS`` environment variable caps internal parallelism; the
-simulation kernels are sequential, so any positive value is accepted and
-the cap is honored trivially.
+and all float text uses repr round-tripping. ``--start`` is resolved once,
+when the model is loaded, so every library call below reads the start from
+the model.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
 from .layout import decode_trajectory, probability_order
@@ -91,26 +90,17 @@ def _parse_start(text: str | None) -> int | str | None:
     raise CliError(f"--start must be 'uniform' or 'fixed:N', got {text!r}")
 
 
-def _load_spec(source: str):
+def _load_spec(source: str, start: str | None):
+    """The model named by ``--mdp`` with ``--start`` resolved into its ``initial``."""
     if source == "bundled":
-        return bundled_mdp()
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            return load(handle.read())
-    except OSError as exc:
-        raise CliError(f"cannot read model {source}: {exc}") from None
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("QMDP_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"QMDP_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise CliError(f"QMDP_THREADS must be a positive integer, got {raw!r}")
+        spec = bundled_mdp()
+    else:
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                spec = load(handle.read())
+        except OSError as exc:
+            raise CliError(f"cannot read model {source}: {exc}") from None
+    return resolve_start(spec, _parse_start(start))
 
 
 def _require_seed(args) -> None:
@@ -177,10 +167,8 @@ def _transition_table_text(records, fmt: str) -> str:
 
 def _cmd_simulate(args) -> int:
     _require_seed(args)
-    spec = _load_spec(args.mdp)
-    start = _parse_start(args.start)
-    include_return = args.steps > 1
-    prepared = build_preparation(spec, args.steps, initial=start, include_return=include_return)
+    spec = _load_spec(args.mdp, args.start)
+    prepared = build_preparation(spec, args.steps, include_return=args.steps > 1)
     if args.dump_circuit:
         _write_artifact(format_circuit(prepared.circuit), args.dump_circuit)
     records = simulate_distribution(prepared, args.backend)
@@ -198,21 +186,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spec = _load_spec(args.mdp)
-    initial = resolve_start(spec, _parse_start(args.start))
+    spec = _load_spec(args.mdp, args.start)
     records = sorted(
-        enumerate_trajectories(spec, args.steps, initial, include_return=args.steps > 1),
+        enumerate_trajectories(spec, args.steps, None, include_return=args.steps > 1),
         key=lambda r: probability_order(r.probability, r.bitstring),
     )
     _write_artifact(_trajectory_text(records, args.steps, None, args.format), args.out)
     return 0
 
 
-def _resolve_target(raw, spec, steps, classical_initial) -> int:
+def _resolve_target(raw, spec, steps) -> int:
     if raw is None:
         raise CliError("search needs --target-return (an integer or 'max')")
     if raw == "max":
-        records = enumerate_trajectories(spec, steps, classical_initial)
+        records = enumerate_trajectories(spec, steps, None)
         return max(record.total_return for record in records)
     try:
         return int(raw)
@@ -255,8 +242,8 @@ def _report_json(prepared, report) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _counts_csv(spec, steps, classical_initial, counts) -> str:
-    catalog = enumerate_trajectories(spec, steps, classical_initial)
+def _counts_csv(spec, steps, counts) -> str:
+    catalog = enumerate_trajectories(spec, steps, None)
     rank = {record.bitstring: i + 1 for i, record in enumerate(catalog)}
     unknown = sorted(counts.keys() - rank.keys())
     if unknown:
@@ -271,12 +258,12 @@ def _cmd_search(args) -> int:
     if args.format != "json":
         raise CliError("search reports are JSON; pass --format json or drop the flag")
     _require_seed(args)
-    spec = _load_spec(args.mdp)
-    prepared = build_preparation(spec, args.steps, initial=_parse_start(args.start))
+    spec = _load_spec(args.mdp, args.start)
+    prepared = build_preparation(spec, args.steps)
     if args.dump_circuit:
         _write_artifact(format_circuit(prepared.circuit), args.dump_circuit)
     check_width(prepared.layout.num_qubits, args.backend)  # before 'max' enumerates the catalog
-    target = _resolve_target(args.target_return, spec, args.steps, prepared.initial)
+    target = _resolve_target(args.target_return, spec, args.steps)
     report = grover_search(
         prepared,
         OracleSpec(target_return=target),
@@ -288,7 +275,7 @@ def _cmd_search(args) -> int:
     _write_artifact(_report_json(prepared, report), args.out)
     if args.out and report.counts is not None:
         _write_artifact(
-            _counts_csv(spec, args.steps, prepared.initial, report.counts),
+            _counts_csv(spec, args.steps, report.counts),
             _sibling_path(args.out, "counts", ".csv"),
         )
     return 0
@@ -303,16 +290,12 @@ def _cmd_qlearn(args) -> int:
         raise CliError(f"--shots (rollout trials) must be >= 1, got {args.shots}")
     if args.steps < 1:  # the message simulate, search and enumerate give
         raise CliError(f"steps must be >= 1, got {args.steps}")
-    spec = _load_spec(args.mdp)
-    initial = resolve_start(spec, _parse_start(args.start))
-    training_spec = replace(spec, initial=initial)
+    spec = _load_spec(args.mdp, args.start)
     config = QlConfig(seed=args.seed, horizon=args.steps)
-    table = q_learning(training_spec, config)
+    table = q_learning(spec, config)
     policy = greedy_policy(table).tolist()
     policy_line = " ".join(f"s{s}:a{a}" for s, a in enumerate(policy))
-    rollouts = greedy_rollouts(
-        training_spec, table, trials=args.shots, horizon=args.steps, initial=initial, seed=args.seed
-    )
+    rollouts = greedy_rollouts(spec, table, trials=args.shots, horizon=args.steps, initial=None, seed=args.seed)
     doc = {
         "config": asdict(config),
         "q": table.tolist(),
@@ -341,7 +324,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_threads_env()
         return _COMMANDS[args.subcommand](args)
     # MdpFormatError and MdpValidationError are ValueErrors
     except (CliError, ValueError, OSError) as exc:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 PROB_TOL = 1e-9
 ECHO_DIGITS = 40  # longer integers are echoed in messages by their digit count
+_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit before Python 3.10.7
 
 
 class MdpFormatError(ValueError):
@@ -45,9 +47,10 @@ class MdpSpec:
     """Immutable finite MDP.
 
     ``initial`` is the start distribution: ``None`` means uniform over all
-    states, an integer means a fixed start state. Transitions are kept in
-    canonical (state, action, next_state) order so that equal models compare
-    equal regardless of input order.
+    states, an integer means a fixed start state; :func:`resolve_start` is
+    how a run overrides it. Transitions are kept in canonical (state,
+    action, next_state) order so that equal models compare equal regardless
+    of input order.
     """
 
     num_states: int
@@ -94,7 +97,8 @@ def validate(spec: MdpSpec) -> list[str]:
     Checked: positive state and action counts, index ranges, probabilities in
     [0, 1] summing to 1 per (state, action) pair within ``PROB_TOL``, no
     duplicate (state, action, next_state) rows, one non-negative integer
-    reward per state, and an in-range initial state when fixed.
+    reward per state, and an initial state that is None or an in-range
+    state index.
     """
     errors: list[str] = []
     if spec.num_states < 1:
@@ -149,7 +153,9 @@ def validate(spec: MdpSpec) -> list[str]:
         if not isinstance(r, int) or isinstance(r, bool) or r < 0:
             errors.append(f"reward for s{s} must be a non-negative integer, got {_echo(r, repr)}")
 
-    if spec.initial is not None and not 0 <= spec.initial < spec.num_states:
+    if isinstance(spec.initial, bool) or not isinstance(spec.initial, (int, type(None))):
+        errors.append(f"initial state must be None or a state index, got {spec.initial!r}")
+    elif spec.initial is not None and not 0 <= spec.initial < spec.num_states:
         errors.append(f"initial state {_echo(spec.initial)} outside [0, {_echo(spec.num_states)})")
     return errors
 
@@ -162,32 +168,25 @@ def validated(spec: MdpSpec) -> MdpSpec:
     return spec
 
 
-def resolve_start(spec: MdpSpec, start: int | str | None) -> int | None:
-    """The start state a run uses, ``None`` meaning uniform over the states.
+def resolve_start(spec: MdpSpec, start: int | str | None) -> MdpSpec:
+    """``spec`` with the start a run uses as its ``initial``.
 
-    ``start`` of None takes the model's own ``initial``, the string
-    "uniform" forces a uniform start, and an integer forces that start state.
+    ``start`` of None keeps the model's own start and returns ``spec``
+    itself, the string "uniform" makes the start uniform over the states, and
+    a state index pins it. Every function that takes an ``initial`` argument
+    resolves it here, so the argument means the same everywhere.
     """
     if start is None:
-        return spec.initial
+        return spec
     if start == "uniform":
-        return None
-    if not isinstance(start, int):
+        initial = None
+    elif isinstance(start, int) and not isinstance(start, bool):
+        if not 0 <= start < spec.num_states:
+            raise ValueError(f"start state {_echo(start)} outside 0..{_echo(spec.num_states - 1)}")
+        initial = start
+    else:
         raise ValueError(f"initial must be None, 'uniform' or a state index, got {start!r}")
-    if not 0 <= start < spec.num_states:
-        raise ValueError(f"start state {_echo(start)} outside 0..{_echo(spec.num_states - 1)}")
-    return start
-
-
-def support(spec: MdpSpec, state: int, action: int) -> dict[int, float]:
-    """Successor distribution for one (state, action) pair, its
-    :attr:`MdpSpec.successors` row as a dict: keys ascend by next state,
-    entries with probability exactly 0 are dropped."""
-    if not 0 <= state < spec.num_states:
-        raise ValueError(f"state {_echo(state)} outside [0, {_echo(spec.num_states)})")
-    if not 0 <= action < spec.num_actions:
-        raise ValueError(f"action {_echo(action)} outside [0, {_echo(spec.num_actions)})")
-    return dict(spec.successors[state, action])
+    return spec if initial == spec.initial else replace(spec, initial=initial)
 
 
 def _require(doc: dict, key: str, kind: type, where: str):
@@ -201,6 +200,15 @@ def _require(doc: dict, key: str, kind: type, where: str):
     return value
 
 
+def _int_literal(text: str) -> int:
+    """A JSON integer literal as an int; a literal longer than the interpreter's
+    digit limit for int conversion (0: no limit) is refused by its length."""
+    digits, limit = len(text.lstrip("-")), _int_digit_limit()
+    if limit and digits > limit:
+        raise MdpFormatError(f"integer literal too long: {digits} digits, the limit is {limit}")
+    return int(text)
+
+
 def load(document: str) -> MdpSpec:
     """Parse a JSON document into a validated :class:`MdpSpec`.
 
@@ -208,7 +216,7 @@ def load(document: str) -> MdpSpec:
     name (schema); validation failures raise :class:`MdpValidationError`.
     """
     try:
-        doc = json.loads(document)
+        doc = json.loads(document, parse_int=_int_literal)
     except json.JSONDecodeError as exc:
         raise MdpFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

@@ -78,16 +78,16 @@ def _encode_distribution(circuit, qubits, probs, base_controls):
     node(len(qubits) - 1, 0, 1 << len(qubits), tuple(base_controls))
 
 
-def build_init(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, initial: int | None) -> None:
-    """Start distribution on the step 0 state register, plus the uniform
-    action draw of every step.
+def build_init(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec) -> None:
+    """The start distribution ``spec.initial`` on the step 0 state register,
+    plus the uniform action draw of every step.
 
-    ``initial`` of None means uniform over the states, which requires a
+    An ``initial`` of None is uniform over the states, which requires a
     power-of-two state count (a uniform start over any other count has no
     defined encoding here and is rejected); an integer pins the start.
     """
     qubits = layout.state_qubits(0)
-    if initial is None:
+    if spec.initial is None:
         if spec.num_states & (spec.num_states - 1):
             raise ValueError(
                 f"uniform start needs a power-of-two state count, got {spec.num_states}"
@@ -95,7 +95,7 @@ def build_init(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, initial:
         for q in qubits[: (spec.num_states - 1).bit_length()]:
             circuit.h(q)
     else:
-        for q, bit in value_pattern(qubits, initial):
+        for q, bit in value_pattern(qubits, spec.initial):
             if bit:
                 circuit.x(q)
     for t in range(layout.steps):
@@ -174,12 +174,12 @@ def build_return_adder(circuit: Circuit, layout: RegisterLayout) -> None:
 
 @dataclass(frozen=True)
 class PreparedModel:
-    """A compiled model: the layout, the circuit, and the resolved start."""
+    """A compiled model: the spec with its resolved start as ``initial``, the
+    layout and the circuit."""
 
     spec: MdpSpec
     layout: RegisterLayout
     circuit: Circuit
-    initial: int | None
 
     def prepare_state(self, backend: str = "sparse"):
         """Fresh zero state with the preparation circuit applied."""
@@ -194,9 +194,11 @@ def build_preparation(
 ) -> PreparedModel:
     """Compile a validated model into its preparation circuit.
 
-    ``initial`` is resolved by :func:`~qmdp.mdp.resolve_start`. The uniform
-    action draw needs a power-of-two action count; other counts are
-    rejected here rather than silently skewed.
+    ``initial`` is resolved by :func:`~qmdp.mdp.resolve_start`: None keeps
+    the model's own start, "uniform" makes it uniform and a state index pins
+    it; the returned model's ``spec`` carries the result. The uniform action
+    draw needs a power-of-two action count; other counts are rejected here
+    rather than silently skewed.
     """
     spec = validated(spec)
     if steps < 1:
@@ -205,10 +207,10 @@ def build_preparation(
         raise ValueError(
             f"uniform action draw needs a power-of-two action count, got {spec.num_actions}"
         )
-    start = resolve_start(spec, initial)
+    spec = resolve_start(spec, initial)
     layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
     circuit = Circuit(layout.num_qubits)
-    build_init(circuit, layout, spec, start)
+    build_init(circuit, layout, spec)
     for t in range(steps):
         build_transition(circuit, layout, spec, t)
         build_reward(circuit, layout, spec, t)
@@ -216,7 +218,7 @@ def build_preparation(
             build_step_chain(circuit, layout, t)
     if layout.return_bits:
         build_return_adder(circuit, layout)
-    return PreparedModel(spec, layout, circuit, start)
+    return PreparedModel(spec, layout, circuit)
 
 
 def simulate_distribution(prepared: PreparedModel, backend: str = "sparse") -> list[TrajectoryRecord]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .layout import ROLES, decode_trajectory, probability_order, value_pattern
+from .layout import ROLES, value_pattern
 from .prepare import PreparedModel
 from .sim import Circuit
 
@@ -112,11 +112,6 @@ class SearchReport:
     seed: int | None = None
     counts: dict[str, int] | None = None
 
-    def top_marked(self) -> tuple[MarkedState, ...]:
-        return tuple(
-            sorted(self.marked, key=lambda m: probability_order(m.probability_after, m.bitstring))
-        )
-
 
 def grover_search(
     prepared: PreparedModel,
@@ -152,10 +147,9 @@ def grover_search(
             raise ValueError(f"iterations must be >= 0, got {iterations}")
         rounds = iterations
     if rounds:
-        diffuser = build_diffuser(prepared)
+        grover_round = build_oracle(prepared, oracle).extend(build_diffuser(prepared))
         for _ in range(rounds):
-            state.phase_flip(pattern)
-            state.apply_circuit(diffuser)
+            state.apply_circuit(grover_round)
     after = dict(state.pattern_items(pattern))
     counts = state.sample(shots, seed) if shots else None
     marked = []
@@ -178,8 +172,3 @@ def grover_search(
         seed=seed,
         counts=counts,
     )
-
-
-def decode_marked(prepared: PreparedModel, report: SearchReport):
-    """Marked entries as decoded trajectory records, ordered as reported."""
-    return [decode_trajectory(prepared.layout, m.bitstring) for m in report.marked]

@@ -18,9 +18,7 @@ Determinism contract: reductions (norm, marginals, sampling) accumulate in a
 fixed sequential order over ascending basis indices, and sampling uses an
 inverse-CDF walk driven by ``numpy.random.default_rng(seed)`` and refuses a
 missing seed, so identical (amplitudes, shots, seed) give identical counts
-on either backend and any thread count. The kernels themselves are
-sequential; the ``QMDP_THREADS`` environment variable documented by the CLI
-caps parallelism that the implementation never exceeds anyway.
+on either backend. The kernels are sequential.
 """
 
 from __future__ import annotations
@@ -259,10 +257,6 @@ class _StateBase:
         picks = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
         tally = np.bincount(picks, minlength=len(cum))
         return {self.bitstring(int(idx[p])): int(tally[p]) for p in np.flatnonzero(tally).tolist()}
-
-    def phase_flip(self, pattern: Controls) -> "_StateBase":
-        """Negate amplitudes of basis states matching the pattern."""
-        return self.apply(Gate(FLIP, None, controls=pattern))
 
     def dump(self) -> str:
         """One line per nonzero amplitude: ``<bitstring> <re> <im>``."""

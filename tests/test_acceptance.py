@@ -106,9 +106,7 @@ def test_c2_circuit_matches_enumerator():
         quantum = {r.bitstring: r.probability for r in simulate_distribution(prepared)}
         classical = {
             r.bitstring: r.probability
-            for r in enumerate_trajectories(
-                spec, steps, None if initial == "uniform" else initial
-            )
+            for r in enumerate_trajectories(spec, steps, initial)
         }
         assert set(quantum) == set(classical)
         gap = max(abs(quantum[b] - classical[b]) for b in classical)

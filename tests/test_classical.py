@@ -6,6 +6,8 @@ they are the ground truth the circuit is judged against, so nothing in this
 file may import from the quantum modules.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +25,7 @@ from qmdp.classical import (
     value_iteration,
 )
 from qmdp.layout import RegisterLayout, TrajectoryRecord, decode_trajectory
-from qmdp.mdp import MdpSpec, Transition, support
+from qmdp.mdp import MdpSpec, Transition
 
 from conftest import random_mdp
 
@@ -50,7 +52,7 @@ def test_enumeration_is_sorted_and_consistent(bundled):
             assert following[0] == nxt
         for s, a, nxt, rew in r.steps:
             assert rew == bundled.rewards[nxt]
-            assert nxt in support(bundled, s, a)
+            assert nxt in dict(bundled.successors[s, a])
 
 
 def test_top_return_records_from_fixed_start(bundled):
@@ -82,7 +84,11 @@ def test_enumeration_rejects_bad_initial(bundled):
 @pytest.mark.parametrize("initial", [9, -1, 2.5])
 def test_bad_starts_are_refused_by_name(bundled, initial):
     table = np.zeros((bundled.num_states, bundled.num_actions))
-    message = f"initial state {initial!r} is neither None nor a state in \\[0, 4\\)"
+    if isinstance(initial, int):
+        message = f"start state {initial} outside 0..3"
+    else:
+        message = f"initial must be None, 'uniform' or a state index, got {initial!r}"
+    message = f"^{re.escape(message)}$"
     with pytest.raises(ValueError, match=message):
         enumerate_trajectories(bundled, 3, initial)
     with pytest.raises(ValueError, match=message):
@@ -185,7 +191,7 @@ def test_q_update_fixed_point_on_deterministic_spec():
         Transition(2, 1, 2, 1.0), Transition(3, 1, 3, 1.0),
     ), (0, 1, 2, 3))
     alpha, gamma = 0.1, 0.95
-    nxt = {(s, a): next(iter(support(spec, s, a))) for s in range(4) for a in range(2)}
+    nxt = {(s, a): spec.successors[s, a][0][0] for s in range(4) for a in range(2)}
     optimal = np.zeros((4, 2))
     for _ in range(2000):
         updated = np.array([

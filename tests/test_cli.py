@@ -10,6 +10,8 @@ import io
 import json
 import math
 import os
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,8 +322,6 @@ def test_qlearn_fixed_start_policy_line(capsys, tmp_path):
 def test_qlearn_uniform_start_reports_library_policy(capsys):
     # The artifact must state whatever greedy policy training actually
     # produced; uniform starts still favor a0 in s0 under these rewards.
-    from dataclasses import replace
-
     import numpy as np
 
     from qmdp import QlConfig, bundled_mdp, greedy_policy, q_learning
@@ -464,6 +464,15 @@ def test_a_huge_integer_is_echoed_by_its_digit_count(capsys, tmp_path, field):
     assert len(err) < 200
 
 
+def test_an_integer_literal_over_the_digit_limit_is_refused_in_one_line(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(save(bundled_mdp()).replace('"num_states": 4', '"num_states": ' + "1" * 5001), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--mdp", str(path), "--steps", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: integer literal too long: 5001 digits, the limit is {sys.get_int_max_str_digits()}\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "enumerate"])
 def test_integer_probability_beyond_float_range_is_refused(capsys, tmp_path, command):
     doc = json.loads(save(bundled_mdp()))
@@ -532,7 +541,7 @@ def test_counts_outside_the_catalog_are_refused():
     stray = "1" * len(next(iter(known)))
     assert stray not in known
     with pytest.raises(CliError, match=f"sampled bit string {stray} is not in the enumerated catalog"):
-        _counts_csv(spec, 1, 0, {stray: 3})
+        _counts_csv(replace(spec, initial=0), 1, {stray: 3})
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -540,16 +549,6 @@ def test_unknown_subcommand_exits_2(capsys):
         main(["polish"])
     assert exc.value.code == 2
     capsys.readouterr()
-
-
-def test_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("QMDP_THREADS", "nope")
-    code, _, err = run(capsys, "enumerate", "--steps", "1")
-    assert code == 1
-    assert "QMDP_THREADS" in err
-    monkeypatch.setenv("QMDP_THREADS", "2")
-    code, _, _ = run(capsys, "enumerate", "--steps", "1")
-    assert code == 0
 
 
 def test_json_format_for_trajectories(capsys):

@@ -1,6 +1,8 @@
 """Model schema, validation, and the JSON document round trip."""
 
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from qmdp.mdp import (
     Transition,
     bundled_mdp,
     load,
+    resolve_start,
     save,
-    support,
     validate,
     validated,
 )
@@ -30,11 +32,11 @@ def test_bundled_model_is_valid(bundled):
 
 
 def test_bundled_support_rows(bundled):
-    assert support(bundled, 0, 0) == {1: pytest.approx(0.6), 2: pytest.approx(0.4)}
-    assert support(bundled, 3, 1) == {3: pytest.approx(1.0)}
+    assert dict(bundled.successors[0, 0]) == {1: pytest.approx(0.6), 2: pytest.approx(0.4)}
+    assert dict(bundled.successors[3, 1]) == {3: pytest.approx(1.0)}
     for s in range(4):
         for a in range(2):
-            assert sum(support(bundled, s, a).values()) == pytest.approx(1.0, abs=1e-12)
+            assert sum(dict(bundled.successors[s, a]).values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transitions_are_canonicalized():
@@ -90,12 +92,31 @@ def test_validate_counts_missing_pairs_in_one_message(bundled):
     assert "1999992 (state, action) pairs have no transitions, the first (s4,a0)" in problems
 
 
+@pytest.mark.parametrize("initial", [2.5, True])
+def test_validate_refuses_a_start_that_is_not_a_state_index(bundled, initial):
+    assert validate(replace(bundled, initial=initial)) == [
+        f"initial state must be None or a state index, got {initial!r}"
+    ]
+
+
+def test_resolve_start_keeps_overrides_or_pins(bundled):
+    assert resolve_start(bundled, None) is bundled
+    assert resolve_start(bundled, "uniform") is bundled  # already uniform
+    pinned = resolve_start(bundled, 2)
+    assert pinned.initial == 2 and replace(pinned, initial=None) == bundled
+    assert resolve_start(pinned, None) is pinned
+    assert resolve_start(pinned, "uniform") == bundled
+    for bad in (True, 2.0, "fixed:2"):
+        with pytest.raises(ValueError, match=r"^initial must be None, 'uniform' or a state index, got "):
+            resolve_start(bundled, bad)
+
+
 def test_support_drops_zero_probability_entries():
     spec = MdpSpec(2, 1, (
         Transition(0, 0, 0, 0.0), Transition(0, 0, 1, 1.0),
         Transition(1, 0, 0, 1.0),
     ), (0, 1))
-    assert support(spec, 0, 0) == {1: 1.0}
+    assert dict(spec.successors[0, 0]) == {1: 1.0}
 
 
 def test_save_load_round_trip(bundled):
@@ -132,6 +153,13 @@ def test_load_refuses_an_integer_probability_beyond_float_range():
         load(json.dumps(doc))
 
 
+def test_load_refuses_an_integer_literal_over_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    doc = save(bundled_mdp()).replace('"num_states": 4', '"num_states": -' + "1" * (limit + 1))
+    with pytest.raises(MdpFormatError, match=rf"^integer literal too long: {limit + 1} digits, the limit is {limit}$"):
+        load(doc)
+
+
 def test_load_runs_validation():
     doc = save(bundled_mdp()).replace("0.6", "0.7")
     with pytest.raises(MdpValidationError):
@@ -161,12 +189,5 @@ def test_successor_table_rows():
             nexts = [n for n, _ in row]
             assert nexts == sorted(set(nexts))
             assert all(p > 0.0 for _, p in row)
-            assert support(spec, s, a) == dict(row)
-        with pytest.raises(ValueError, match=rf"state {spec.num_states} outside \[0, {spec.num_states}\)"):
-            support(spec, spec.num_states, 0)
-        with pytest.raises(ValueError, match=r"state -1 outside"):
-            support(spec, -1, 0)
-        with pytest.raises(ValueError, match=rf"action {spec.num_actions} outside \[0, {spec.num_actions}\)"):
-            support(spec, 0, spec.num_actions)
     assert zero_row.successors[0, 0] == ((1, 1.0),)
     assert bundled_mdp().successors[0, 0] == ((1, 0.6), (2, 0.4))

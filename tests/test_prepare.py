@@ -1,15 +1,16 @@
 """Compiled preparation circuits against the classical enumerator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmdp.classical import enumerate_trajectories, expected_return
+from qmdp.classical import enumerate_trajectories, expected_return, greedy_rollouts
 from qmdp.layout import RegisterLayout
-from qmdp.mdp import MdpSpec, Transition, support
+from qmdp.mdp import MdpSpec, Transition
 from qmdp.prepare import (
     build_preparation,
     build_return_adder,
@@ -28,12 +29,7 @@ def trajectory_map(records):
 def assert_matches_enumerator(spec, steps, initial, backend="sparse", include_return=True):
     prepared = build_preparation(spec, steps, initial=initial, include_return=include_return)
     got = trajectory_map(simulate_distribution(prepared, backend))
-    classical_initial = None if initial in (None, "uniform") else initial
-    if initial is None:
-        classical_initial = spec.initial
-    want = trajectory_map(
-        enumerate_trajectories(spec, steps, classical_initial, include_return=include_return)
-    )
+    want = trajectory_map(enumerate_trajectories(spec, steps, initial, include_return=include_return))
     assert set(got) == set(want), "support differs from the enumerator"
     for bits, record in got.items():
         assert (record.steps, record.total_return) == (want[bits].steps, want[bits].total_return), bits
@@ -154,11 +150,24 @@ def test_spec_initial_is_the_default_start(bundled):
         bundled.num_states, bundled.num_actions, bundled.transitions, bundled.rewards, 3
     )
     prepared = build_preparation(pinned, 1)
-    assert prepared.initial == 3
+    assert prepared.spec is pinned
     records = simulate_distribution(prepared)
     assert all(r.steps[0][0] == 3 for r in records)
     # explicit uniform overrides the pinned start
-    assert build_preparation(pinned, 1, initial="uniform").initial is None
+    assert build_preparation(pinned, 1, initial="uniform").spec.initial is None
+
+
+@pytest.mark.parametrize("start", [None, "uniform", 0, 3])
+def test_every_function_reads_a_start_alike(bundled, start):
+    # None is the model's own start (state 3 here), "uniform" every state, an int that state
+    pinned = replace(bundled, initial=3)
+    starts = {3} if start is None else set(range(4)) if start == "uniform" else {start}
+    simulated = simulate_distribution(build_preparation(pinned, 2, initial=start))
+    enumerated = enumerate_trajectories(pinned, 2, start)
+    assert {r.bitstring for r in simulated} == {r.bitstring for r in enumerated}
+    assert {r.steps[0][0] for r in enumerated} == starts
+    rollouts = greedy_rollouts(pinned, np.zeros((4, 2)), trials=200, horizon=1, initial=start, seed=0)
+    assert {r.steps[0][0] for r in rollouts} == starts
 
 
 def test_support_soundness_on_random_models():
@@ -173,7 +182,7 @@ def test_support_soundness_on_random_models():
                 if previous_next is not None:
                     assert s == previous_next
                 assert rew == spec.rewards[nxt]
-                assert nxt in support(spec, s, a)
+                assert nxt in dict(spec.successors[s, a])
                 previous_next = nxt
 
 

@@ -216,7 +216,7 @@ def test_controlled_x_fires_only_on_pattern():
 def test_flip_negates_only_matching_states():
     state = prepare_zero(2, "dense")
     state.apply(Gate("h", 0)).apply(Gate("h", 1))
-    state.phase_flip(((0, 1), (1, 0)))
+    state.apply(Gate("flip", controls=((0, 1), (1, 0))))
     amps = dict(state.nonzero_items())
     assert amps[0b01].real == pytest.approx(-0.5, abs=1e-12)
     for i in (0b00, 0b10, 0b11):
@@ -225,7 +225,7 @@ def test_flip_negates_only_matching_states():
 
 def test_flip_with_empty_pattern_is_global_minus_one():
     state = prepare_zero(2, "sparse").apply(Gate("h", 0))
-    state.phase_flip(())
+    state.apply(Gate("flip"))
     amps = dict(state.nonzero_items())
     assert amps[0].real == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
     assert amps[1].real == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
@@ -346,7 +346,7 @@ def test_sparse_preparation_matches_dict_kernel_bytewise(spec, steps, initial):
 
 def test_flip_leaves_the_same_signed_zeros_on_both_backends():
     dumps = [
-        prepare_zero(2, backend).apply(Gate("h", 0)).phase_flip(((0, 1),)).dump()
+        prepare_zero(2, backend).apply(Gate("h", 0)).apply(Gate("flip", controls=((0, 1),))).dump()
         for backend in ("sparse", "dense")
     ]
     assert dumps[0] == dumps[1]
