@@ -8,6 +8,7 @@ references.
 
 from .classical import (
     QlConfig,
+    ReturnDistribution,
     RolloutRecord,
     ValueIterationResult,
     enumerate_trajectories,
@@ -15,9 +16,10 @@ from .classical import (
     greedy_policy,
     greedy_rollouts,
     q_learning,
+    return_distribution,
     value_iteration,
 )
-from .layout import RegisterLayout, TrajectoryRecord, decode_trajectory
+from .layout import RegisterLayout, TrajectoryRecord, TrajectoryTable, decode_trajectory
 from .mdp import (
     MdpFormatError,
     MdpSpec,
@@ -66,10 +68,12 @@ __all__ = [
     "PreparedModel",
     "QlConfig",
     "RegisterLayout",
+    "ReturnDistribution",
     "RolloutRecord",
     "SearchReport",
     "SparseState",
     "TrajectoryRecord",
+    "TrajectoryTable",
     "Transition",
     "ValueIterationResult",
     "build_diffuser",
@@ -93,6 +97,7 @@ __all__ = [
     "prepare_zero",
     "q_learning",
     "resolve_start",
+    "return_distribution",
     "save",
     "simulate_distribution",
     "theta_for",

@@ -1,10 +1,12 @@
 """Classical references for the quantum pipeline.
 
-Exhaustive trajectory enumeration, exact expected return, finite-horizon
-value iteration, tabular Q-learning and greedy rollouts, all over the
-:attr:`~qmdp.mdp.MdpSpec.successors` rows the circuit encodes; draws walk a
-row with a running sum, no derived table. The enumerator, the ground truth
-the simulation is checked against, expands one step per pass; no amplitudes.
+Exhaustive trajectory enumeration, the exact return distribution, exact
+expected return, finite-horizon value iteration, tabular Q-learning and
+greedy rollouts, all over the :attr:`~qmdp.mdp.MdpSpec.successors` rows the
+circuit encodes; draws walk a row with a running sum, no derived table. The
+enumerator, the ground truth the simulation is checked against, expands a
+numpy frontier one step per pass and returns the same
+:class:`~qmdp.layout.TrajectoryTable` readout does; no amplitudes.
 """
 
 from __future__ import annotations
@@ -13,52 +15,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import RegisterLayout, TrajectoryRecord, bitstring_of
+from .layout import STEP_ROLES, RegisterLayout, TrajectoryRecord, TrajectoryTable
 from .mdp import MdpSpec, resolve_start, validated
 
 
 def enumerate_trajectories(
     spec: MdpSpec, steps: int, initial: int | str | None, include_return: bool = True
-) -> list[TrajectoryRecord]:
-    """Every length-``steps`` trajectory with nonzero probability.
+) -> TrajectoryTable:
+    """Every length-``steps`` trajectory with nonzero probability, as a table.
 
     ``initial`` is resolved by :func:`~qmdp.mdp.resolve_start`: None keeps
     the model's own start, "uniform" makes it uniform and a state index pins
     it. The probability of a trajectory is P(s0) times, per step,
     1/num_actions times the transition probability, left to right; P(s0) is
-    1/num_states for a uniform start and 1 for a fixed start. Records
-    are sorted by canonical bit string and carry exact probabilities.
-    ``include_return`` controls whether the bit string carries the total
-    register, matching the circuit layout built with the same flag. The
-    frontier grows one step per pass; each edge ORs in its step-0 bits
-    shifted to the step's offset.
+    1/num_states for a uniform start and 1 for a fixed start. Rows are
+    sorted by bit string and carry exact probabilities. ``include_return``
+    controls whether the bit string carries the total register, matching
+    the circuit layout built with the same flag.
+
+    The frontier is a state and a probability array. Each pass gives every
+    entry one child per edge of its state and keeps, per depth, the parent
+    row and the edge of each child; one backward pass over those columns
+    then finds every row's edge at every depth, O(steps) array operations in
+    all, and the rows are sorted and written as register columns.
     """
     validated(spec)
     layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
     spec = resolve_start(spec, initial)
-    if spec.initial is None:  # entries: (state, prob, return, index, steps)
-        frontier = [(s, 1.0 / spec.num_states, 0, 0, ()) for s in range(spec.num_states)]
+    top = steps * spec.max_reward
+    if top >> 63:
+        raise ValueError(f"returns of up to {top.bit_length()} bits do not fit the table's 64-bit columns")
+    # per state, in (action, next) order: the step (s, a, nxt, r) of every edge and its probability
+    rows = [((s, a, nxt, spec.rewards[nxt]), p)
+            for s in range(spec.num_states) for a in range(spec.num_actions) for nxt, p in spec.successors[s, a]]
+    edge_step, edge_p = np.array([step for step, _ in rows], dtype=np.int64), np.array([p for _, p in rows])
+    degree = np.bincount(edge_step[:, 0], minlength=spec.num_states)
+    end_edge = np.cumsum(degree)  # one past each state's last edge
+    if spec.initial is None:
+        state, prob = np.arange(spec.num_states), np.full(spec.num_states, 1.0 / spec.num_states)
     else:
-        frontier = [(spec.initial, 1.0, 0, 0, ())]
+        state, prob = np.array([spec.initial]), np.array([1.0])
 
-    action_weight, fields = 1.0 / spec.num_actions, layout.fields
-    (s_at, _), (a_at, _), (n_at, _), (r_at, _) = fields[:4]  # step 0, STEP_ROLES order
-    edges = [  # per state: (step, p, r, the step's bits at step 0)
-        [((s, a, nxt, r), p, r, s << s_at | a << a_at | nxt << n_at | r << r_at)
-         for a in range(spec.num_actions) for nxt, p in spec.successors[s, a] for r in [spec.rewards[nxt]]]
-        for s in range(spec.num_states)
-    ]
-    for depth in range(steps):
-        shift = fields[4 * depth][0]
-        frontier = [
-            (step[2], prob * action_weight * p, ret + r, index | bits << shift, path + (step,))
-            for state, prob, ret, index, path in frontier
-            for step, p, r, bits in edges[state]
-        ]
-    ret_at, ret_mask = fields[-1][0], (1 << layout.return_bits) - 1  # mask 0: no return register
-    records = (TrajectoryRecord(path, ret, bitstring_of(layout, index | (ret & ret_mask) << ret_at), prob)
-               for _, prob, ret, index, path in frontier)
-    return sorted(records, key=lambda rec: rec.bitstring)
+    action_weight, passes = 1.0 / spec.num_actions, []
+    for _ in range(steps):
+        fan = degree[state]
+        parent = np.arange(len(state)).repeat(fan)
+        # a child's edge: its state's first edge, minus its parent's first child row, plus its own row
+        edge = (end_edge[state] - fan.cumsum()).repeat(fan)
+        edge += np.arange(len(edge))
+        prob = prob[parent] * action_weight * edge_p[edge]
+        state = edge_step[edge, 2]
+        passes.append((parent, edge))
+    edges, row = np.empty((len(prob), steps), dtype=np.int64), np.arange(len(prob))
+    for depth in reversed(range(steps)):
+        parent, edge = passes.pop()
+        edges[:, depth] = edge[row]
+        row = parent[row]
+    # the return register holds the summed rewards; its mask is 0 without one
+    returns = edge_step[edges, 3].sum(axis=1) & ((1 << layout.return_bits) - 1)
+    # Bit-string order compares the return, then steps T-1 down to 0, each by
+    # its (reward, next, action, state) fields, which is its edge's rank in
+    # that order; lexsort's last key sorts first.
+    rank = np.empty(len(edge_step), dtype=np.int64)
+    rank[np.lexsort(edge_step.T)] = np.arange(len(edge_step))
+    order = np.lexsort(np.column_stack((rank[edges], returns)).T)
+    edges = edges[order]
+    registers = np.empty((len(prob), len(layout.fields)), dtype=np.int64)
+    for role in range(len(STEP_ROLES)):
+        registers[:, role:-1:len(STEP_ROLES)] = edge_step[edges, role]
+    registers[:, -1] = returns[order]
+    return TrajectoryTable(layout, prob[order], registers)
 
 
 def expected_return(records: list[TrajectoryRecord]) -> float:
@@ -98,6 +124,45 @@ def value_iteration(spec: MdpSpec, horizon: int) -> ValueIterationResult:
             policy[k][s] = int(np.argmax(returns))  # first max wins ties
             values[k][s] = returns[policy[k][s]]
     return ValueIterationResult(values=values, policy=policy)
+
+
+@dataclass(frozen=True)
+class ReturnDistribution:
+    """``paths`` counts the trajectories, exactly; ``max_return`` is the
+    largest return among them and ``probability[g]`` is P(return = g) for
+    g = 0..max_return."""
+
+    paths: int
+    max_return: int
+    probability: np.ndarray
+
+
+def return_distribution(spec: MdpSpec, steps: int, initial: int | str | None = None) -> ReturnDistribution:
+    """The return distribution of :func:`enumerate_trajectories`' catalog
+    without listing it: a forward pass over (state, return) cells that moves
+    each cell's path count and probability mass along every successor row,
+    O(steps * transitions * returns). ``initial`` is resolved as there."""
+    validated(spec)
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    spec = resolve_start(spec, initial)
+    size = steps * spec.max_reward + 1
+    paths = np.zeros((spec.num_states, size), dtype=object)  # Python ints: counts pass 2**63
+    mass = np.zeros((spec.num_states, size))
+    starts = range(spec.num_states) if spec.initial is None else [spec.initial]
+    for s in starts:
+        paths[s, 0], mass[s, 0] = 1, 1.0 / len(starts)
+    for _ in range(steps):
+        moved_paths, moved_mass = np.zeros_like(paths), np.zeros_like(mass)
+        for (s, a), row in spec.successors.items():
+            for nxt, p in row:
+                r = spec.rewards[nxt]
+                moved_paths[nxt, r:] += paths[s, :size - r]
+                moved_mass[nxt, r:] += mass[s, :size - r] * (p / spec.num_actions)
+        paths, mass = moved_paths, moved_mass
+    by_return = paths.sum(axis=0)
+    best = max(g for g, count in enumerate(by_return.tolist()) if count)
+    return ReturnDistribution(int(by_return.sum()), best, mass.sum(axis=0)[:best + 1])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ greedy policy with rollout summaries.
 
 Artifacts go to ``--out`` when given (sibling files derive from its stem),
 otherwise to stdout. ``simulate`` and ``enumerate`` write their trajectory
-tables, CSV or JSON, through one renderer, ``_trajectory_text``. Identical
+tables, CSV or JSON, through one renderer, ``_trajectory_text``, which
+formats the table's columns whole rather than one record at a time. Identical
 flags and seed give byte-identical artifacts: every random draw is seeded,
 and all float text uses repr round-tripping. ``--start`` is resolved once,
 when the model is loaded, so every library call below reads the start from
@@ -22,6 +23,8 @@ import json
 import os
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
 from .layout import decode_trajectory, probability_order
@@ -125,25 +128,34 @@ def _sibling_path(out: str, suffix: str, extension: str | None = None) -> str:
     return f"{stem}_{suffix}{extension if extension is not None else ext}"
 
 
-def _trajectory_text(records, steps, counts, fmt: str) -> str:
-    """The simulate and enumerate table: one row per record, in the given
-    order; ``counts`` fills the count column (empty or null when None)."""
+def _trajectory_text(table, counts, fmt: str) -> str:
+    """The simulate and enumerate table: one row per table row, in the
+    table's order; ``counts`` fills the count column (empty or null when
+    None). Each column is formatted whole: probabilities by ``repr``, step
+    values through one string per value, then one join per row."""
+    bits = table.bitstrings().tolist()
+    values = table.registers[:, :-1]  # the step registers
     if fmt == "json":
-        rows = [{
-            "bitstring": record.bitstring,
-            "return": record.total_return,
-            "prob": record.probability,
-            "count": None if counts is None else counts.get(record.bitstring, 0),
-            "steps": [list(step) for step in record.steps],
-        } for record in records]
-        return json.dumps(rows, indent=2) + "\n"
-    lines = ["bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(steps))]
-    for record in records:
-        count = "" if counts is None else counts.get(record.bitstring, 0)
-        lines.append(
-            f"{record.bitstring},{record.total_return},{_float_text(record.probability)},{count}"
-            + "".join(f",{s},{a},{nxt},{r}" for s, a, nxt, r in record.steps)
-        )
+        rows = zip(bits, table.total_return.tolist(), table.probability.tolist(),
+                   values.reshape(len(table), table.layout.steps, -1).tolist())
+        doc = [{
+            "bitstring": b,
+            "return": ret,
+            "prob": prob,
+            "count": None if counts is None else counts.get(b, 0),
+            "steps": path,
+        } for b, ret, prob, path in rows]
+        return json.dumps(doc, indent=2) + "\n"
+    top = int(values.max(initial=0))
+    if top < values.size:  # a string per value up to the largest costs no more than one per cell
+        distinct, codes = np.arange(top + 1), values
+    else:
+        distinct, codes = np.unique(values, return_inverse=True)
+    cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[codes.reshape(values.shape)]
+    count_text = [""] * len(bits) if counts is None else [str(counts.get(b, 0)) for b in bits]
+    lines = ["bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(table.layout.steps))]
+    lines += map(",".join, zip(bits, map(str, table.total_return.tolist()), map(repr, table.probability.tolist()),
+                               count_text, *cells.T))
     return "\n".join(lines) + "\n"
 
 
@@ -171,15 +183,15 @@ def _cmd_simulate(args) -> int:
     prepared = build_preparation(spec, args.steps, include_return=args.steps > 1)
     if args.dump_circuit:
         _write_artifact(format_circuit(prepared.circuit), args.dump_circuit)
-    records = simulate_distribution(prepared, args.backend)
+    table = simulate_distribution(prepared, args.backend)
     counts = None
     if args.shots:
         counts = prepared.prepare_state(args.backend).sample(args.shots, args.seed)
-    _write_artifact(_trajectory_text(records, args.steps, counts, args.format), args.out)
+    _write_artifact(_trajectory_text(table, counts, args.format), args.out)
     if args.steps == 1 and args.out:
         extension = ".json" if args.format == "json" else ".csv"
         _write_artifact(
-            _transition_table_text(records, args.format),
+            _transition_table_text(table, args.format),
             _sibling_path(args.out, "transitions", extension),
         )
     return 0
@@ -187,11 +199,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = _load_spec(args.mdp, args.start)
-    records = sorted(
-        enumerate_trajectories(spec, args.steps, None, include_return=args.steps > 1),
-        key=lambda r: probability_order(r.probability, r.bitstring),
-    )
-    _write_artifact(_trajectory_text(records, args.steps, None, args.format), args.out)
+    table = enumerate_trajectories(spec, args.steps, None, include_return=args.steps > 1)
+    table = table.take(probability_order(table.probability))
+    _write_artifact(_trajectory_text(table, None, args.format), args.out)
     return 0
 
 
@@ -199,8 +209,7 @@ def _resolve_target(raw, spec, steps) -> int:
     if raw is None:
         raise CliError("search needs --target-return (an integer or 'max')")
     if raw == "max":
-        records = enumerate_trajectories(spec, steps, None)
-        return max(record.total_return for record in records)
+        return int(enumerate_trajectories(spec, steps, None).total_return.max())
     try:
         return int(raw)
     except ValueError:
@@ -243,13 +252,14 @@ def _report_json(prepared, report) -> str:
 
 
 def _counts_csv(spec, steps, counts) -> str:
-    catalog = enumerate_trajectories(spec, steps, None)
-    rank = {record.bitstring: i + 1 for i, record in enumerate(catalog)}
-    unknown = sorted(counts.keys() - rank.keys())
-    if unknown:
-        raise CliError(f"sampled bit string {unknown[0]} is not in the enumerated catalog")
+    catalog = enumerate_trajectories(spec, steps, None).bitstrings()  # ascending
+    sampled = np.array(list(counts))
+    rank = np.searchsorted(catalog, sampled)
+    known = catalog[np.minimum(rank, len(catalog) - 1)] == sampled
+    if not known.all():
+        raise CliError(f"sampled bit string {min(sampled[~known].tolist())} is not in the enumerated catalog")
     lines = [TRAJECTORY_NUMBER_NOTE, "trajectory,count"]
-    numbered = sorted((rank[bits], count) for bits, count in counts.items())
+    numbered = sorted(zip((rank + 1).tolist(), counts.values()))
     lines.extend(f"{number},{count}" for number, count in numbered)
     return "\n".join(lines) + "\n"
 

@@ -9,11 +9,15 @@ is pure bookkeeping; it knows nothing about gates or amplitudes.
 
 Register geometry has one owner, :attr:`RegisterLayout.fields`: every
 register as a bit field, its lowest qubit and its width. The accessors, the
-codec and the enumerator's walk all read that table, by shift and mask.
-Readout builds each record from a basis index with :func:`decode_index`;
-:func:`decode_trajectory` only parses printed strings. The module also owns
-:func:`field_value`, :func:`value_pattern`, :func:`pattern_mask` and
-:func:`probability_order`, the order of trajectory listings.
+codec and the trajectory table all read that table, by shift and mask.
+Trajectory listings are one :class:`TrajectoryTable`: a probability column
+and a column per register, from which the return column and the printed bit
+strings are derived. Readout and the enumerator both return one; its rows
+iterate as :class:`TrajectoryRecord`.
+:func:`decode_index` and :func:`decode_trajectory` decode one basis index or
+printed string. The module also owns :func:`field_value`,
+:func:`value_pattern`, :func:`pattern_mask` and :func:`probability_order`,
+the order of trajectory listings.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+
+import numpy as np
 
 from .mdp import MdpSpec
 
@@ -122,10 +128,68 @@ class TrajectoryRecord:
     probability: float | None = None
 
 
-def probability_order(probability: float, bitstring: str) -> tuple[float, str]:
-    """Sort key of every trajectory listing: descending probability, rounded
-    to 12 places so float dust cannot reorder ties, then ascending bit string."""
-    return -round(probability, 12), bitstring
+@dataclass(frozen=True, eq=False)
+class TrajectoryTable:
+    """Trajectories as columns: ``probability`` (float64, one entry per
+    row) and ``registers``, an int64 array with one column per register of
+    ``layout.fields``, in that order. The last column is the return
+    register, 0 in a layout without one. Each row holds its basis index
+    field by field, never as one integer, so layouts wider than 63 qubits
+    fit.
+
+    Iterating yields one :class:`TrajectoryRecord` per row, with Python ints
+    and floats, in row order.
+    """
+
+    layout: RegisterLayout
+    probability: np.ndarray
+    registers: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probability)
+
+    def __iter__(self):
+        steps = self.registers[:, :-1].tolist()
+        rows = zip(steps, self.total_return.tolist(), self.bitstrings().tolist(), self.probability.tolist())
+        for values, total, bits, prob in rows:
+            yield TrajectoryRecord(tuple(zip(*[iter(values)] * len(STEP_ROLES))), total, bits, prob)
+
+    def take(self, rows: np.ndarray) -> "TrajectoryTable":
+        """The table with its rows in the order of the index array ``rows``."""
+        return TrajectoryTable(self.layout, self.probability[rows], self.registers[rows])
+
+    @cached_property
+    def total_return(self) -> np.ndarray:
+        """The return register, or the sum of the step rewards without one."""
+        if self.layout.return_bits:
+            return self.registers[:, -1]
+        return self.registers[:, len(STEP_ROLES) - 1:-1:len(STEP_ROLES)].sum(axis=1)
+
+    def bitstrings(self) -> np.ndarray:
+        """Printed basis strings, most significant qubit first, as a ``U{n}``
+        array: each register's bits go into a ``(rows, n)`` matrix of ASCII
+        digits, one role of every step at a time, then each row is read as
+        one string. Built on each call, not kept beside the columns."""
+        layout, rows = self.layout, len(self)
+        bits = np.empty((rows, layout.num_qubits), dtype=np.uint8)  # column q: qubit q
+        body = bits[:, :layout.steps * layout.step_width].reshape(rows, layout.steps, layout.step_width)
+        values = self.registers[:, :-1].reshape(rows, layout.steps, len(STEP_ROLES))
+        for role, (offset, width) in enumerate(layout.fields[:len(STEP_ROLES)]):  # step 0's offsets
+            body[:, :, offset:offset + width] = values[:, :, role, None] >> np.arange(width) & 1
+        offset, width = layout.fields[-1]
+        bits[:, offset:] = self.registers[:, -1:] >> np.arange(width) & 1
+        text = bits[:, ::-1] + ord("0")
+        return text.view(f"S{layout.num_qubits}").ravel().astype(f"U{layout.num_qubits}")
+
+
+def probability_order(probability: np.ndarray) -> np.ndarray:
+    """Row order of every trajectory listing, given rows in ascending bit
+    string order: descending probability, rounded to 12 places so float dust
+    cannot reorder ties, then ascending bit string, which the stable sort
+    keeps. The rounding is Python's ``round`` per entry: ``np.round`` differs
+    from it on a few values in a million."""
+    rounded = np.array([round(p, 12) for p in probability.tolist()])
+    return np.argsort(-rounded, kind="stable")
 
 
 def field_value(index, qubits: list[int]):
@@ -188,8 +252,8 @@ def bitstring_of(layout: RegisterLayout, index: int) -> str:
     return format(index, f"0{layout.num_qubits}b")
 
 
-def decode_index(layout: RegisterLayout, index: int, probability: float | None = None) -> TrajectoryRecord:
-    """Unpack a basis index into a :class:`TrajectoryRecord` with ``probability``.
+def decode_index(layout: RegisterLayout, index: int) -> TrajectoryRecord:
+    """Unpack a basis index into a :class:`TrajectoryRecord`.
 
     Without a return register the total return is the sum of step rewards;
     with one it is read from the register bits.
@@ -199,7 +263,7 @@ def decode_index(layout: RegisterLayout, index: int, probability: float | None =
     steps = tuple(zip(*[iter(values)] * len(STEP_ROLES)))  # each run of four values is one step
     if not layout.return_bits:
         total = sum(r for _, _, _, r in steps)
-    return TrajectoryRecord(steps, total, bitstring_of(layout, index), probability)
+    return TrajectoryRecord(steps, total, bitstring_of(layout, index))
 
 
 def decode_trajectory(layout: RegisterLayout, bitstring: str) -> TrajectoryRecord:

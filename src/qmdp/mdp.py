@@ -9,10 +9,11 @@ round trips and the bundled four-state demo chain live here too.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 PROB_TOL = 1e-9
@@ -174,7 +175,8 @@ def resolve_start(spec: MdpSpec, start: int | str | None) -> MdpSpec:
     ``start`` of None keeps the model's own start and returns ``spec``
     itself, the string "uniform" makes the start uniform over the states, and
     a state index pins it. Every function that takes an ``initial`` argument
-    resolves it here, so the argument means the same everywhere.
+    resolves it here, so the argument means the same everywhere. A
+    :attr:`~MdpSpec.successors` table ``spec`` has built is carried over.
     """
     if start is None:
         return spec
@@ -186,7 +188,13 @@ def resolve_start(spec: MdpSpec, start: int | str | None) -> MdpSpec:
         initial = start
     else:
         raise ValueError(f"initial must be None, 'uniform' or a state index, got {start!r}")
-    return spec if initial == spec.initial else replace(spec, initial=initial)
+    if initial == spec.initial:
+        return spec
+    # A shallow copy shares the sorted transitions (no re-sort) and any
+    # successors table already built; neither depends on the start.
+    resolved = copy.copy(spec)
+    object.__setattr__(resolved, "initial", initial)
+    return resolved
 
 
 def _require(doc: dict, key: str, kind: type, where: str):

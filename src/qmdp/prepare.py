@@ -7,7 +7,8 @@ the landed state into the next step's state register, and finally one
 reversible accumulation of all per-step rewards into the total register.
 Running it on a fresh zero state yields a superposition whose basis-state
 probabilities match the classical trajectory distribution exactly; readout
-decodes each live (basis index, amplitude) pair straight into a record.
+turns the state's live index and amplitude arrays into one trajectory
+table, its register columns cut from the indices by shift and mask.
 
 Encoding choices that matter downstream:
 
@@ -30,7 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .layout import RegisterLayout, TrajectoryRecord, decode_index, probability_order, value_pattern
+import numpy as np
+
+from .layout import RegisterLayout, TrajectoryTable, probability_order, value_pattern
 from .layout import decode_trajectory  # noqa: F401  perfbench/tracer.py wraps prepare.decode_trajectory
 from .mdp import MdpSpec, resolve_start, validated
 from .sim import Circuit, prepare_zero
@@ -221,14 +224,19 @@ def build_preparation(
     return PreparedModel(spec, layout, circuit)
 
 
-def simulate_distribution(prepared: PreparedModel, backend: str = "sparse") -> list[TrajectoryRecord]:
-    """Run the circuit and decode every live index, probability ``abs(a) ** 2``.
+def simulate_distribution(prepared: PreparedModel, backend: str = "sparse") -> TrajectoryTable:
+    """Run the circuit and read every live basis index into a trajectory table.
 
-    Records are sorted by :func:`~qmdp.layout.probability_order`:
-    descending probability, then bit string.
+    Register columns are cut from the ascending index array by shift and
+    mask. The probability column is ``np.float_power(np.hypot(re, im), 2)``,
+    which equals the per-entry ``abs(a) ** 2`` bit for bit where
+    ``np.abs(a) ** 2`` and ``hypot ** 2`` on arrays do not. Rows are sorted
+    by :func:`~qmdp.layout.probability_order`: descending probability, then
+    bit string.
     """
-    layout = prepared.layout
-    items = prepared.prepare_state(backend).nonzero_items()
-    records = [decode_index(layout, index, abs(a) ** 2) for index, a in items]
-    records.sort(key=lambda r: probability_order(r.probability, r.bitstring))
-    return records
+    idx, amps = prepared.prepare_state(backend).nonzero()
+    probability = np.float_power(np.hypot(amps.real, amps.imag), 2)
+    order = probability_order(probability)
+    idx = idx[order]
+    registers = np.stack([(idx >> offset) & ((1 << width) - 1) for offset, width in prepared.layout.fields], axis=1)
+    return TrajectoryTable(prepared.layout, probability[order], registers)

@@ -181,7 +181,8 @@ class _StateBase:
     num_qubits: int
 
     # subclasses provide: apply(gate) and
-    # _nonzero() -> (ascending index array, complex amplitude array)
+    # nonzero() -> (ascending basis-index array, complex amplitude array)
+    # of the live entries, the arrays every readout starts from
 
     def apply_circuit(self, circuit: Circuit) -> "_StateBase":
         if circuit.num_qubits != self.num_qubits:
@@ -196,12 +197,12 @@ class _StateBase:
         return format(index, f"0{self.num_qubits}b")
 
     def norm(self) -> float:
-        _, amps = self._nonzero()
+        _, amps = self.nonzero()
         return float(np.sum(np.abs(amps) ** 2))
 
     def nonzero_items(self) -> list[tuple[int, complex]]:
         """(basis index, amplitude) pairs, ascending index."""
-        idx, amps = self._nonzero()
+        idx, amps = self.nonzero()
         return list(zip(idx.tolist(), amps.tolist()))
 
     def probabilities(self) -> dict[str, float]:
@@ -212,7 +213,7 @@ class _StateBase:
         """(index, probability) over nonzero basis states matching a pattern,
         ascending index; the selection is the kernel's ``idx & mask == want``."""
         mask, want = pattern_mask(pattern)
-        idx, amps = self._nonzero()
+        idx, amps = self.nonzero()
         hit = (idx & mask) == want
         return [(i, abs(a) ** 2) for i, a in zip(idx[hit].tolist(), amps[hit].tolist())]
 
@@ -231,7 +232,7 @@ class _StateBase:
         for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} outside register of {self.num_qubits}")
-        idx, amps = self._nonzero()
+        idx, amps = self.nonzero()
         keys = field_value(idx, qubits).tolist()
         out: dict[int, float] = {}
         for key, a in zip(keys, amps):  # ascending index: fixed reduction order
@@ -247,7 +248,7 @@ class _StateBase:
             return {}
         if seed is None:
             raise ValueError("sampling without a seed is not reproducible; pass one")
-        idx, amps = self._nonzero()
+        idx, amps = self.nonzero()
         if len(idx) == 0:
             raise ValueError("cannot sample from an all-zero state")
         probs = np.abs(np.asarray(amps)) ** 2
@@ -340,7 +341,7 @@ class DenseState(_StateBase):
             np.copyto(a0, buf)
         return self
 
-    def _nonzero(self):
+    def nonzero(self):
         idx = np.flatnonzero(self._amps)
         return idx, self._amps[idx]
 
@@ -407,7 +408,7 @@ class SparseState(_StateBase):
         self._idx, self._amps = out_idx[order], out_amps[order]
         return self
 
-    def _nonzero(self):
+    def nonzero(self):
         return self._idx, self._amps
 
 

@@ -7,6 +7,7 @@ file may import from the quantum modules.
 """
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from qmdp.classical import (
     greedy_rollouts,
     q_learning,
     q_update,
+    return_distribution,
     value_iteration,
 )
-from qmdp.layout import RegisterLayout, TrajectoryRecord, decode_trajectory
+from qmdp.layout import RegisterLayout, TrajectoryRecord, bitstring_of, decode_trajectory
+from qmdp.mdp import resolve_start
 from qmdp.mdp import MdpSpec, Transition
 
 from conftest import random_mdp
@@ -130,6 +133,111 @@ def test_enumerated_probabilities_are_products_of_their_own_steps(
         assert record.probability.hex() == prob.hex()
         decoded = decode_trajectory(layout, record.bitstring)
         assert (decoded.steps, decoded.total_return) == (record.steps, record.total_return)
+
+
+def python_frontier(spec, steps, initial, include_return=True):
+    """The list frontier the numpy pass replaced, kept as its byte-level
+    reference: one (state, prob, return, partial index, steps) entry per
+    partial trajectory, expanded one step per pass, each probability formed
+    as ``prob * action_weight * p``; records sorted by bit string."""
+    layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
+    spec = resolve_start(spec, initial)
+    if spec.initial is None:
+        frontier = [(s, 1.0 / spec.num_states, 0, 0, ()) for s in range(spec.num_states)]
+    else:
+        frontier = [(spec.initial, 1.0, 0, 0, ())]
+    action_weight, fields = 1.0 / spec.num_actions, layout.fields
+    (s_at, _), (a_at, _), (n_at, _), (r_at, _) = fields[:4]
+    edges = [
+        [((s, a, nxt, r), p, r, s << s_at | a << a_at | nxt << n_at | r << r_at)
+         for a in range(spec.num_actions) for nxt, p in spec.successors[s, a] for r in [spec.rewards[nxt]]]
+        for s in range(spec.num_states)
+    ]
+    for depth in range(steps):
+        shift = fields[4 * depth][0]
+        frontier = [
+            (step[2], prob * action_weight * p, ret + r, index | bits << shift, path + (step,))
+            for state, prob, ret, index, path in frontier
+            for step, p, r, bits in edges[state]
+        ]
+    ret_at, ret_mask = fields[-1][0], (1 << layout.return_bits) - 1
+    records = (TrajectoryRecord(path, ret, bitstring_of(layout, index | (ret & ret_mask) << ret_at), prob)
+               for _, prob, ret, index, path in frontier)
+    return sorted(records, key=lambda rec: rec.bitstring)
+
+
+def _record_bytes(records):
+    return [(r.bitstring, r.steps, r.total_return, r.probability.hex()) for r in records]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([1, 2, 3, 4, 8]),
+    num_actions=st.sampled_from([1, 2, 3, 4]),
+    steps=st.integers(1, 4),
+    start=st.one_of(st.none(), st.just("uniform"), st.integers(0, 7)),
+    pinned=st.one_of(st.none(), st.integers(0, 7)),
+    include_return=st.booleans(),
+)
+def test_numpy_frontier_equals_the_python_frontier(
+    seed, num_states, num_actions, steps, start, pinned, include_return
+):
+    initial = None if pinned is None else pinned % num_states  # the model's own start
+    spec = random_mdp(np.random.default_rng(seed), num_states, num_actions, max_reward=5, initial=initial)
+    start = start % num_states if isinstance(start, int) else start
+    assume(_path_count(spec, steps, resolve_start(spec, start).initial) <= 20000)
+    table = enumerate_trajectories(spec, steps, start, include_return=include_return)
+    records = list(table)
+    assert _record_bytes(records) == _record_bytes(python_frontier(spec, steps, start, include_return))
+    assert all(type(r.probability) is float and type(r.total_return) is int for r in records)
+    assert all(type(v) is int for r in records for step in r.steps for v in step)
+
+
+def test_a_deep_single_path_enumerates_in_linear_time():
+    # the list frontier copied every step tuple on every pass: 0.68 s here, O(T^2)
+    loop = MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (1,), 0)
+    start = time.perf_counter()
+    table = enumerate_trajectories(loop, 20000, None)
+    assert time.perf_counter() - start < 1.0
+    assert len(table) == 1 and table.total_return.tolist() == [20000]
+    assert table.registers[0, :-1].tolist() == [0, 0, 0, 1] * 20000
+
+
+def test_returns_beyond_64_bits_are_refused():
+    huge = MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (2**62,), 0)
+    assert enumerate_trajectories(huge, 1, None).total_return.tolist() == [2**62]
+    with pytest.raises(ValueError, match="^returns of up to 64 bits do not fit the table's 64-bit columns$"):
+        enumerate_trajectories(huge, 2, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([1, 2, 3, 4, 8]),
+    num_actions=st.sampled_from([1, 2, 3, 4]),
+    max_reward=st.sampled_from([0, 1, 3, 7]),
+    steps=st.integers(1, 4),
+    fixed=st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_return_distribution_matches_the_enumerator(seed, num_states, num_actions, max_reward, steps, fixed):
+    spec = random_mdp(np.random.default_rng(seed), num_states, num_actions, max_reward)
+    initial = None if fixed is None else fixed % num_states
+    assume(_path_count(spec, steps, initial) <= 20000)
+    exact = return_distribution(spec, steps, initial)
+    table = enumerate_trajectories(spec, steps, initial)
+    assert exact.paths == len(table)
+    assert exact.max_return == table.total_return.max()
+    enumerated = np.bincount(table.total_return, weights=table.probability)
+    assert len(exact.probability) == len(enumerated)
+    assert np.max(np.abs(exact.probability - enumerated)) <= 1e-12
+
+
+def test_return_distribution_counts_paths_past_64_bits(bundled):
+    exact = return_distribution(bundled, 60)
+    assert exact.paths == _path_count(bundled, 60, None) > 2**63
+    assert exact.max_return == 3 * 60
+    assert exact.probability.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_spec_probabilities_sum_to_one():

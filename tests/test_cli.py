@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmdp import MdpSpec, Transition, build_preparation, bundled_mdp, save
-from qmdp.cli import CliError, _counts_csv, main
+from qmdp import MdpSpec, Transition, build_preparation, bundled_mdp, save, simulate_distribution
+from qmdp.cli import CliError, _counts_csv, _trajectory_text, main
 from qmdp.classical import enumerate_trajectories
+from qmdp.layout import probability_order
 
 from conftest import random_mdp
 
@@ -533,6 +534,58 @@ def test_simulate_and_enumerate_agree_on_random_models(
         sim_ret, sim_prob, sim_steps = simulated[bits]
         assert sim_ret == ret and sim_steps == step_values
         assert abs(sim_prob - prob) < 1e-9
+
+
+def record_writer(records, steps, counts, fmt):
+    """The per-record table writer the column writer replaced, kept as its
+    byte-level reference: one f-string line or one dict per record."""
+    if fmt == "json":
+        rows = [{
+            "bitstring": record.bitstring,
+            "return": record.total_return,
+            "prob": record.probability,
+            "count": None if counts is None else counts.get(record.bitstring, 0),
+            "steps": [list(step) for step in record.steps],
+        } for record in records]
+        return json.dumps(rows, indent=2) + "\n"
+    lines = ["bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(steps))]
+    for record in records:
+        count = "" if counts is None else counts.get(record.bitstring, 0)
+        lines.append(
+            f"{record.bitstring},{record.total_return},{repr(float(record.probability))},{count}"
+            + "".join(f",{s},{a},{nxt},{r}" for s, a, nxt, r in record.steps)
+        )
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([1, 2, 4, 8]),
+    num_actions=st.sampled_from([1, 2, 3]),
+    max_reward=st.sampled_from([0, 3, 11, 10**6]),  # 10**6: more distinct values than cells
+    steps=st.integers(1, 3),
+    fmt=st.sampled_from(["csv", "json"]),
+    sampled=st.booleans(),
+)
+def test_column_writer_equals_the_record_writer(seed, num_states, num_actions, max_reward, steps, fmt, sampled):
+    rng = np.random.default_rng(seed)
+    spec = random_mdp(rng, num_states, num_actions, max_reward)
+    table = enumerate_trajectories(spec, steps, None, include_return=steps > 1)
+    table = table.take(probability_order(table.probability))
+    counts = None
+    if sampled:  # some rows drawn, some not
+        picks = rng.choice(table.bitstrings(), size=min(len(table), 5), replace=False)
+        counts = {bits: int(rng.integers(1, 100)) for bits in picks.tolist()}
+    assert _trajectory_text(table, counts, fmt) == record_writer(list(table), steps, counts, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_column_writer_equals_the_record_writer_on_a_sampled_simulation(fmt):
+    prepared = build_preparation(bundled_mdp(), 3, initial="uniform")
+    table = simulate_distribution(prepared)
+    counts = prepared.prepare_state().sample(4096, 7)
+    assert _trajectory_text(table, counts, fmt) == record_writer(list(table), 3, counts, fmt)
 
 
 def test_counts_outside_the_catalog_are_refused():

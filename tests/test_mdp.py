@@ -99,6 +99,16 @@ def test_validate_refuses_a_start_that_is_not_a_state_index(bundled, initial):
     ]
 
 
+def test_resolving_a_start_carries_the_successor_table():
+    spec = random_mdp(np.random.default_rng(5), num_states=16, num_actions=4)
+    table = spec.successors
+    pinned = resolve_start(spec, 0)
+    assert pinned.initial == 0 and pinned.successors is table
+    assert resolve_start(pinned, "uniform").successors is table
+    fresh = random_mdp(np.random.default_rng(5), num_states=16, num_actions=4)
+    assert resolve_start(fresh, 0).successors == table  # not built yet: built from the transitions
+
+
 def test_resolve_start_keeps_overrides_or_pins(bundled):
     assert resolve_start(bundled, None) is bundled
     assert resolve_start(bundled, "uniform") is bundled  # already uniform

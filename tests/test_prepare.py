@@ -12,6 +12,7 @@ from qmdp.classical import enumerate_trajectories, expected_return, greedy_rollo
 from qmdp.layout import RegisterLayout
 from qmdp.mdp import MdpSpec, Transition
 from qmdp.prepare import (
+    PreparedModel,
     build_preparation,
     build_return_adder,
     simulate_distribution,
@@ -260,6 +261,24 @@ def test_zero_reward_model_compiles(bundled):
     prepared = build_preparation(spec, 2, initial="uniform")
     assert prepared.layout.return_bits == 0
     assert_matches_enumerator(spec, 2, "uniform")
+
+
+def test_probability_column_is_abs_squared_per_entry(bundled, monkeypatch):
+    # np.float_power(np.hypot(re, im), 2) matches Python's abs(a) ** 2 bit for
+    # bit; np.abs(a) ** 2, hypot ** 2 and hypot * hypot each differ on some values
+    prepared = build_preparation(bundled, 2, initial="uniform")  # 17 qubits
+    rng = np.random.default_rng(12)
+    count = 100_000
+    scale = 10.0 ** rng.uniform(-150, 150, size=count)
+    re = rng.standard_normal(count) * scale
+    im = np.where(rng.random(count) < 0.25, 0.0, rng.standard_normal(count) * scale)  # a quarter real-only
+    amps = dict(zip(range(count), (re + 1j * im).tolist()))
+    state = SparseState(prepared.layout.num_qubits, amps)
+    monkeypatch.setattr(PreparedModel, "prepare_state", lambda self, backend="sparse": state)
+    table = simulate_distribution(prepared)
+    indices = [int(bits, 2) for bits in table.bitstrings().tolist()]
+    assert sorted(indices) == list(range(count))
+    assert table.probability.tolist() == [abs(amps[i]) ** 2 for i in indices]
 
 
 def test_distribution_ordering(bundled):

@@ -306,7 +306,7 @@ def dict_apply(amps, gate):
 
 
 def assert_same_bytes(state, amps):
-    idx, values = state._nonzero()
+    idx, values = state.nonzero()
     keys = sorted(amps)
     assert idx.tobytes() == np.array(keys, dtype=np.int64).tobytes()
     assert values.tobytes() == np.array([amps[i] for i in keys], dtype=np.complex128).tobytes()
