@@ -8,7 +8,6 @@ references.
 
 from .classical import (
     QlConfig,
-    ReturnDistribution,
     RolloutRecord,
     ValueIterationResult,
     enumerate_trajectories,
@@ -16,7 +15,6 @@ from .classical import (
     greedy_policy,
     greedy_rollouts,
     q_learning,
-    return_distribution,
     value_iteration,
 )
 from .layout import RegisterLayout, TrajectoryRecord, TrajectoryTable, decode_trajectory
@@ -68,7 +66,6 @@ __all__ = [
     "PreparedModel",
     "QlConfig",
     "RegisterLayout",
-    "ReturnDistribution",
     "RolloutRecord",
     "SearchReport",
     "SparseState",
@@ -97,7 +94,6 @@ __all__ = [
     "prepare_zero",
     "q_learning",
     "resolve_start",
-    "return_distribution",
     "save",
     "simulate_distribution",
     "theta_for",

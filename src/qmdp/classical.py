@@ -1,12 +1,12 @@
 """Classical references for the quantum pipeline.
 
-Exhaustive trajectory enumeration, the exact return distribution, exact
-expected return, finite-horizon value iteration, tabular Q-learning and
-greedy rollouts, all over the :attr:`~qmdp.mdp.MdpSpec.successors` rows the
-circuit encodes; draws walk a row with a running sum, no derived table. The
-enumerator, the ground truth the simulation is checked against, expands a
-numpy frontier one step per pass and returns the same
-:class:`~qmdp.layout.TrajectoryTable` readout does; no amplitudes.
+Exhaustive trajectory enumeration, exact expected return, finite-horizon
+value iteration, tabular Q-learning and greedy rollouts, all over the
+:attr:`~qmdp.mdp.MdpSpec.successors` rows the circuit encodes; draws walk a
+row with a running sum, no derived table. The enumerator, the ground truth
+the simulation is checked against, expands a numpy frontier one step per
+pass and returns the same :class:`~qmdp.layout.TrajectoryTable` readout
+does; no amplitudes.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ def enumerate_trajectories(
     validated(spec)
     layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
     spec = resolve_start(spec, initial)
-    top = steps * spec.max_reward
-    if top >> 63:
-        raise ValueError(f"returns of up to {top.bit_length()} bits do not fit the table's 64-bit columns")
-    # per state, in (action, next) order: the step (s, a, nxt, r) of every edge and its probability
+    # per state, in (action, next) order: the step (s, a, nxt, r) of every edge and its probability;
+    # Python ints (an object array) when a return may pass 63 bits
     rows = [((s, a, nxt, spec.rewards[nxt]), p)
             for s in range(spec.num_states) for a in range(spec.num_actions) for nxt, p in spec.successors[s, a]]
-    edge_step, edge_p = np.array([step for step, _ in rows], dtype=np.int64), np.array([p for _, p in rows])
-    degree = np.bincount(edge_step[:, 0], minlength=spec.num_states)
+    wide = (steps * spec.max_reward) >> 63
+    edge_step = np.array([step for step, _ in rows], dtype=object if wide else np.int64)
+    edge_p, edge_next = np.array([p for _, p in rows]), edge_step[:, 2].astype(np.int64)
+    degree = np.bincount(edge_step[:, 0].astype(np.int64), minlength=spec.num_states)
     end_edge = np.cumsum(degree)  # one past each state's last edge
     if spec.initial is None:
         state, prob = np.arange(spec.num_states), np.full(spec.num_states, 1.0 / spec.num_states)
@@ -64,15 +64,15 @@ def enumerate_trajectories(
         edge = (end_edge[state] - fan.cumsum()).repeat(fan)
         edge += np.arange(len(edge))
         prob = prob[parent] * action_weight * edge_p[edge]
-        state = edge_step[edge, 2]
+        state = edge_next[edge]
         passes.append((parent, edge))
     edges, row = np.empty((len(prob), steps), dtype=np.int64), np.arange(len(prob))
     for depth in reversed(range(steps)):
         parent, edge = passes.pop()
         edges[:, depth] = edge[row]
         row = parent[row]
-    # the return register holds the summed rewards; its mask is 0 without one
-    returns = edge_step[edges, 3].sum(axis=1) & ((1 << layout.return_bits) - 1)
+    # the return register holds the summed rewards, which always fit it; 0 without one
+    returns = edge_step[edges, 3].sum(axis=1) * (layout.return_bits > 0)
     # Bit-string order compares the return, then steps T-1 down to 0, each by
     # its (reward, next, action, state) fields, which is its edge's rank in
     # that order; lexsort's last key sorts first.
@@ -80,7 +80,7 @@ def enumerate_trajectories(
     rank[np.lexsort(edge_step.T)] = np.arange(len(edge_step))
     order = np.lexsort(np.column_stack((rank[edges], returns)).T)
     edges = edges[order]
-    registers = np.empty((len(prob), len(layout.fields)), dtype=np.int64)
+    registers = np.empty((len(prob), len(layout.fields)), dtype=edge_step.dtype)
     for role in range(len(STEP_ROLES)):
         registers[:, role:-1:len(STEP_ROLES)] = edge_step[edges, role]
     registers[:, -1] = returns[order]
@@ -124,45 +124,6 @@ def value_iteration(spec: MdpSpec, horizon: int) -> ValueIterationResult:
             policy[k][s] = int(np.argmax(returns))  # first max wins ties
             values[k][s] = returns[policy[k][s]]
     return ValueIterationResult(values=values, policy=policy)
-
-
-@dataclass(frozen=True)
-class ReturnDistribution:
-    """``paths`` counts the trajectories, exactly; ``max_return`` is the
-    largest return among them and ``probability[g]`` is P(return = g) for
-    g = 0..max_return."""
-
-    paths: int
-    max_return: int
-    probability: np.ndarray
-
-
-def return_distribution(spec: MdpSpec, steps: int, initial: int | str | None = None) -> ReturnDistribution:
-    """The return distribution of :func:`enumerate_trajectories`' catalog
-    without listing it: a forward pass over (state, return) cells that moves
-    each cell's path count and probability mass along every successor row,
-    O(steps * transitions * returns). ``initial`` is resolved as there."""
-    validated(spec)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    spec = resolve_start(spec, initial)
-    size = steps * spec.max_reward + 1
-    paths = np.zeros((spec.num_states, size), dtype=object)  # Python ints: counts pass 2**63
-    mass = np.zeros((spec.num_states, size))
-    starts = range(spec.num_states) if spec.initial is None else [spec.initial]
-    for s in starts:
-        paths[s, 0], mass[s, 0] = 1, 1.0 / len(starts)
-    for _ in range(steps):
-        moved_paths, moved_mass = np.zeros_like(paths), np.zeros_like(mass)
-        for (s, a), row in spec.successors.items():
-            for nxt, p in row:
-                r = spec.rewards[nxt]
-                moved_paths[nxt, r:] += paths[s, :size - r]
-                moved_mass[nxt, r:] += mass[s, :size - r] * (p / spec.num_actions)
-        paths, mass = moved_paths, moved_mass
-    by_return = paths.sum(axis=0)
-    best = max(g for g, count in enumerate(by_return.tolist()) if count)
-    return ReturnDistribution(int(by_return.sum()), best, mass.sum(axis=0)[:best + 1])
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,8 @@ def _trajectory_text(table, counts, fmt: str) -> str:
     """The simulate and enumerate table: one row per table row, in the
     table's order; ``counts`` fills the count column (empty or null when
     None). Each column is formatted whole: probabilities by ``repr``, step
-    values through one string per value, then one join per row."""
-    bits = table.bitstrings().tolist()
+    values through one string per distinct value, then one join per row."""
+    bits = table.bitstrings().astype(str).tolist()
     values = table.registers[:, :-1]  # the step registers
     if fmt == "json":
         rows = zip(bits, table.total_return.tolist(), table.probability.tolist(),
@@ -146,11 +146,7 @@ def _trajectory_text(table, counts, fmt: str) -> str:
             "steps": path,
         } for b, ret, prob, path in rows]
         return json.dumps(doc, indent=2) + "\n"
-    top = int(values.max(initial=0))
-    if top < values.size:  # a string per value up to the largest costs no more than one per cell
-        distinct, codes = np.arange(top + 1), values
-    else:
-        distinct, codes = np.unique(values, return_inverse=True)
+    distinct, codes = np.unique(values, return_inverse=True)
     cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[codes.reshape(values.shape)]
     count_text = [""] * len(bits) if counts is None else [str(counts.get(b, 0)) for b in bits]
     lines = ["bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(table.layout.steps))]
@@ -252,12 +248,12 @@ def _report_json(prepared, report) -> str:
 
 
 def _counts_csv(spec, steps, counts) -> str:
-    catalog = enumerate_trajectories(spec, steps, None).bitstrings()  # ascending
-    sampled = np.array(list(counts))
+    catalog = enumerate_trajectories(spec, steps, None).bitstrings()  # ascending, one byte per digit
+    sampled = np.array(list(counts), dtype="S")
     rank = np.searchsorted(catalog, sampled)
     known = catalog[np.minimum(rank, len(catalog) - 1)] == sampled
     if not known.all():
-        raise CliError(f"sampled bit string {min(sampled[~known].tolist())} is not in the enumerated catalog")
+        raise CliError(f"sampled bit string {min(sampled[~known]).decode()} is not in the enumerated catalog")
     lines = [TRAJECTORY_NUMBER_NOTE, "trajectory,count"]
     numbered = sorted(zip((rank + 1).tolist(), counts.values()))
     lines.extend(f"{number},{count}" for number, count in numbered)

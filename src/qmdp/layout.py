@@ -131,8 +131,9 @@ class TrajectoryRecord:
 @dataclass(frozen=True, eq=False)
 class TrajectoryTable:
     """Trajectories as columns: ``probability`` (float64, one entry per
-    row) and ``registers``, an int64 array with one column per register of
-    ``layout.fields``, in that order. The last column is the return
+    row) and ``registers``, an integer array with one column per register
+    of ``layout.fields``, in that order: int64, or Python ints (an object
+    array) where a return may pass 63 bits. The last column is the return
     register, 0 in a layout without one. Each row holds its basis index
     field by field, never as one integer, so layouts wider than 63 qubits
     fit.
@@ -150,7 +151,8 @@ class TrajectoryTable:
 
     def __iter__(self):
         steps = self.registers[:, :-1].tolist()
-        rows = zip(steps, self.total_return.tolist(), self.bitstrings().tolist(), self.probability.tolist())
+        rows = zip(steps, self.total_return.tolist(), self.bitstrings().astype(str).tolist(),
+                   self.probability.tolist())
         for values, total, bits, prob in rows:
             yield TrajectoryRecord(tuple(zip(*[iter(values)] * len(STEP_ROLES))), total, bits, prob)
 
@@ -166,8 +168,9 @@ class TrajectoryTable:
         return self.registers[:, len(STEP_ROLES) - 1:-1:len(STEP_ROLES)].sum(axis=1)
 
     def bitstrings(self) -> np.ndarray:
-        """Printed basis strings, most significant qubit first, as a ``U{n}``
-        array: each register's bits go into a ``(rows, n)`` matrix of ASCII
+        """Printed basis strings, most significant qubit first, as an
+        ASCII ``S{n}`` array, one byte per digit (``.astype(str)`` gives
+        text): each register's bits go into a ``(rows, n)`` matrix of
         digits, one role of every step at a time, then each row is read as
         one string. Built on each call, not kept beside the columns."""
         layout, rows = self.layout, len(self)
@@ -179,7 +182,7 @@ class TrajectoryTable:
         offset, width = layout.fields[-1]
         bits[:, offset:] = self.registers[:, -1:] >> np.arange(width) & 1
         text = bits[:, ::-1] + ord("0")
-        return text.view(f"S{layout.num_qubits}").ravel().astype(f"U{layout.num_qubits}")
+        return text.view(f"S{layout.num_qubits}").ravel()
 
 
 def probability_order(probability: np.ndarray) -> np.ndarray:

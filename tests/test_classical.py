@@ -7,7 +7,6 @@ file may import from the quantum modules.
 """
 
 import re
-import time
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from qmdp.classical import (
     greedy_rollouts,
     q_learning,
     q_update,
-    return_distribution,
     value_iteration,
 )
 from qmdp.layout import RegisterLayout, TrajectoryRecord, bitstring_of, decode_trajectory
@@ -194,21 +192,46 @@ def test_numpy_frontier_equals_the_python_frontier(
     assert all(type(v) is int for r in records for step in r.steps for v in step)
 
 
-def test_a_deep_single_path_enumerates_in_linear_time():
-    # the list frontier copied every step tuple on every pass: 0.68 s here, O(T^2)
-    loop = MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (1,), 0)
-    start = time.perf_counter()
-    table = enumerate_trajectories(loop, 20000, None)
-    assert time.perf_counter() - start < 1.0
-    assert len(table) == 1 and table.total_return.tolist() == [20000]
-    assert table.registers[0, :-1].tolist() == [0, 0, 0, 1] * 20000
+@pytest.mark.parametrize("rewards", [(2**70, 2**62), (2**61, 1)])
+def test_returns_past_63_bits_stay_exact(rewards):
+    # 2**70: the table holds Python ints, as the list frontier did; 2**61 at
+    # T = 3: the returns fit int64 but the 64-bit return register does not
+    transitions = (Transition(0, 0, 0, 0.5), Transition(0, 0, 1, 0.5), Transition(0, 1, 1, 1.0),
+                   Transition(1, 0, 0, 1.0), Transition(1, 1, 1, 1.0))
+    huge = MdpSpec(2, 2, transitions, rewards, None)
+    for steps in (1, 2, 3):
+        for include_return in (True, False):
+            table = enumerate_trajectories(huge, steps, None, include_return=include_return)
+            reference = python_frontier(huge, steps, None, include_return)
+            assert _record_bytes(table) == _record_bytes(reference)
+    loop = MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (2**62,), 0)
+    assert enumerate_trajectories(loop, 2, None).total_return.tolist() == [2**63]
 
 
-def test_returns_beyond_64_bits_are_refused():
-    huge = MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (2**62,), 0)
-    assert enumerate_trajectories(huge, 1, None).total_return.tolist() == [2**62]
-    with pytest.raises(ValueError, match="^returns of up to 64 bits do not fit the table's 64-bit columns$"):
-        enumerate_trajectories(huge, 2, None)
+def return_distribution(spec, steps, initial):
+    """The return distribution of the enumerator's catalog without listing
+    it, kept as a second reference: a forward pass over (state, return)
+    cells that moves each cell's path count (Python ints, past 2**63) and
+    probability mass along every successor row. Gives the path count, the
+    largest return and P(return = g) for g = 0..largest."""
+    spec = resolve_start(spec, initial)
+    size = steps * spec.max_reward + 1
+    paths = np.zeros((spec.num_states, size), dtype=object)
+    mass = np.zeros((spec.num_states, size))
+    starts = range(spec.num_states) if spec.initial is None else [spec.initial]
+    for s in starts:
+        paths[s, 0], mass[s, 0] = 1, 1.0 / len(starts)
+    for _ in range(steps):
+        moved_paths, moved_mass = np.zeros_like(paths), np.zeros_like(mass)
+        for (s, a), row in spec.successors.items():
+            for nxt, p in row:
+                r = spec.rewards[nxt]
+                moved_paths[nxt, r:] += paths[s, :size - r]
+                moved_mass[nxt, r:] += mass[s, :size - r] * (p / spec.num_actions)
+        paths, mass = moved_paths, moved_mass
+    by_return = paths.sum(axis=0).tolist()
+    best = max(g for g, count in enumerate(by_return) if count)
+    return sum(by_return), best, mass.sum(axis=0)[:best + 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,20 +247,20 @@ def test_return_distribution_matches_the_enumerator(seed, num_states, num_action
     spec = random_mdp(np.random.default_rng(seed), num_states, num_actions, max_reward)
     initial = None if fixed is None else fixed % num_states
     assume(_path_count(spec, steps, initial) <= 20000)
-    exact = return_distribution(spec, steps, initial)
+    paths, best, probability = return_distribution(spec, steps, initial)
     table = enumerate_trajectories(spec, steps, initial)
-    assert exact.paths == len(table)
-    assert exact.max_return == table.total_return.max()
+    assert paths == len(table)
+    assert best == table.total_return.max()
     enumerated = np.bincount(table.total_return, weights=table.probability)
-    assert len(exact.probability) == len(enumerated)
-    assert np.max(np.abs(exact.probability - enumerated)) <= 1e-12
+    assert len(probability) == len(enumerated)
+    assert np.max(np.abs(probability - enumerated)) <= 1e-12
 
 
 def test_return_distribution_counts_paths_past_64_bits(bundled):
-    exact = return_distribution(bundled, 60)
-    assert exact.paths == _path_count(bundled, 60, None) > 2**63
-    assert exact.max_return == 3 * 60
-    assert exact.probability.sum() == pytest.approx(1.0, abs=1e-12)
+    paths, best, probability = return_distribution(bundled, 60, None)
+    assert paths == _path_count(bundled, 60, None) > 2**63
+    assert best == 3 * 60
+    assert probability.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_spec_probabilities_sum_to_one():

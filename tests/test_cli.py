@@ -427,12 +427,14 @@ def test_search_max_refuses_width_before_enumerating(capsys, monkeypatch, flags,
 def test_enumerate_expands_a_deep_horizon(capsys, tmp_path):
     path = tmp_path / "loop.json"
     path.write_text(save(MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (1,), 0)), encoding="utf-8")
-    code, out, err = run(capsys, "enumerate", "--mdp", str(path), "--steps", "1200")
-    assert code == 0
-    assert err == ""
-    rows = csv_rows(out)
-    assert len(rows) == 1
-    assert rows[0]["return"] == "1200"
+    for steps in (1200, 20000):
+        code, out, err = run(capsys, "enumerate", "--mdp", str(path), "--steps", str(steps))
+        assert code == 0
+        assert err == ""
+        rows = csv_rows(out)
+        assert len(rows) == 1
+        assert rows[0]["return"] == str(steps)
+        assert out.splitlines()[1].endswith(",0,0,0,1" * steps)
 
 
 def test_a_huge_state_count_is_refused_in_one_line(capsys, tmp_path):
@@ -563,7 +565,7 @@ def record_writer(records, steps, counts, fmt):
     seed=st.integers(0, 2**32 - 1),
     num_states=st.sampled_from([1, 2, 4, 8]),
     num_actions=st.sampled_from([1, 2, 3]),
-    max_reward=st.sampled_from([0, 3, 11, 10**6]),  # 10**6: more distinct values than cells
+    max_reward=st.sampled_from([0, 3, 11, 10**6, 2**62]),  # 2**62: returns past 63 bits
     steps=st.integers(1, 3),
     fmt=st.sampled_from(["csv", "json"]),
     sampled=st.booleans(),
@@ -575,7 +577,7 @@ def test_column_writer_equals_the_record_writer(seed, num_states, num_actions, m
     table = table.take(probability_order(table.probability))
     counts = None
     if sampled:  # some rows drawn, some not
-        picks = rng.choice(table.bitstrings(), size=min(len(table), 5), replace=False)
+        picks = rng.choice(table.bitstrings().astype(str), size=min(len(table), 5), replace=False)
         counts = {bits: int(rng.integers(1, 100)) for bits in picks.tolist()}
     assert _trajectory_text(table, counts, fmt) == record_writer(list(table), steps, counts, fmt)
 
