@@ -28,7 +28,7 @@ import numpy as np
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
 from .layout import decode_trajectory, probability_order
-from .mdp import bundled_mdp, load, resolve_start
+from .mdp import _echo, bundled_mdp, load, resolve_start
 from .prepare import build_preparation, simulate_distribution
 from .search import OracleSpec, grover_search
 from .sim import check_width, format_circuit
@@ -89,8 +89,8 @@ def _parse_start(text: str | None) -> int | str | None:
         try:
             return int(tail)
         except ValueError:
-            raise CliError(f"bad --start state {tail!r}") from None
-    raise CliError(f"--start must be 'uniform' or 'fixed:N', got {text!r}")
+            raise CliError(f"bad --start state {_echo(tail, repr)}") from None
+    raise CliError(f"--start must be 'uniform' or 'fixed:N', got {_echo(text, repr)}")
 
 
 def _load_spec(source: str, start: str | None):
@@ -209,7 +209,7 @@ def _resolve_target(raw, spec, steps) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CliError(f"--target-return must be an integer or 'max', got {raw!r}") from None
+        raise CliError(f"--target-return must be an integer or 'max', got {_echo(raw, repr)}") from None
 
 
 def _resolve_iterations(raw) -> int | None:
@@ -218,9 +218,9 @@ def _resolve_iterations(raw) -> int | None:
     try:
         value = int(raw)
     except ValueError:
-        raise CliError(f"--iterations must be an integer or 'auto', got {raw!r}") from None
+        raise CliError(f"--iterations must be an integer or 'auto', got {_echo(raw, repr)}") from None
     if value < 0:
-        raise CliError(f"--iterations must be >= 0, got {value}")
+        raise CliError(f"--iterations must be >= 0, got {_echo(value)}")
     return value
 
 

@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .mdp import MdpSpec
+from .mdp import MdpSpec, _echo
 
 STEP_ROLES = ("state", "action", "next", "reward")
 ROLES = STEP_ROLES + ("return",)
@@ -208,7 +208,7 @@ def field_value(index, qubits: list[int]):
 
 
 def _does_not_fit(value: int, width: int) -> ValueError:
-    return ValueError(f"value {value} does not fit a {width}-bit register")
+    return ValueError(f"value {_echo(value)} does not fit a {width}-bit register")
 
 
 def value_pattern(qubits: list[int], value: int) -> tuple[tuple[int, int], ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 PROB_TOL = 1e-9
-ECHO_DIGITS = 40  # longer integers are echoed in messages by their digit count
+ECHO_DIGITS = 40  # longer integers and texts are echoed in messages by their size
 _int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit before Python 3.10.7
 
 
@@ -82,8 +82,10 @@ class MdpSpec:
 
 
 def _echo(value, text=str) -> str:
-    """``text(value)`` for a message, or only the digit count of an integer
-    longer than ``ECHO_DIGITS`` digits, so a refusal stays one short line."""
+    """``text(value)`` for a message, or only the size of an integer or text
+    over ``ECHO_DIGITS`` digits or characters, so a refusal stays one line."""
+    if isinstance(value, str) and len(value) > ECHO_DIGITS:
+        return f"a {len(value)}-character text"
     if not isinstance(value, int) or abs(value) < 10**ECHO_DIGITS:
         return text(value)
     size = abs(value)

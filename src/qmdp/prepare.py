@@ -227,15 +227,11 @@ def build_preparation(
 def simulate_distribution(prepared: PreparedModel, backend: str = "sparse") -> TrajectoryTable:
     """Run the circuit and read every live basis index into a trajectory table.
 
-    Register columns are cut from the ascending index array by shift and
-    mask. The probability column is ``np.float_power(np.hypot(re, im), 2)``,
-    which equals the per-entry ``abs(a) ** 2`` bit for bit where
-    ``np.abs(a) ** 2`` and ``hypot ** 2`` on arrays do not. Rows are sorted
-    by :func:`~qmdp.layout.probability_order`: descending probability, then
-    bit string.
+    Indices and probabilities come from the state's ``live_probabilities()``,
+    register columns are cut from the indices by shift and mask, and rows
+    follow :func:`~qmdp.layout.probability_order`.
     """
-    idx, amps = prepared.prepare_state(backend).nonzero()
-    probability = np.float_power(np.hypot(amps.real, amps.imag), 2)
+    idx, probability = prepared.prepare_state(backend).live_probabilities()
     order = probability_order(probability)
     idx = idx[order]
     registers = np.stack([(idx >> offset) & ((1 << width) - 1) for offset, width in prepared.layout.fields], axis=1)

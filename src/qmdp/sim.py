@@ -11,14 +11,15 @@ through it in place, chunk by chunk: ``CHUNK_QUBITS`` sets the chunk at 2**16
 amplitudes (1 MiB), and a gate's scratch buffers are at most two chunks. So
 dense peak memory is the array plus a few MiB, and ``DENSE_QUBIT_LIMIT``
 bounds the peak, not just the amplitudes. The sparse backend holds only the
-live amplitudes, as a sorted int64 basis-index array beside a complex128
-amplitude array, which caps its width at 63 qubits.
+live amplitudes, an int64 basis-index array beside a complex128 amplitude
+array in no order, which caps its width at 63 qubits.
 
-Determinism contract: reductions (norm, marginals, sampling) accumulate in a
-fixed sequential order over ascending basis indices, and sampling uses an
-inverse-CDF walk driven by ``numpy.random.default_rng(seed)`` and refuses a
-missing seed, so identical (amplitudes, shots, seed) give identical counts
-on either backend. The kernels are sequential.
+Determinism contract: readouts start from ``nonzero()``, the live entries by
+ascending basis index, and take probabilities from ``live_probabilities()``
+alone. Reductions (norm, marginals, sampling) accumulate in that order, and
+sampling uses an inverse-CDF walk driven by ``numpy.random.default_rng(seed)``
+and refuses a missing seed, so identical (amplitudes, shots, seed) give
+identical counts on either backend. The kernels are sequential.
 """
 
 from __future__ import annotations
@@ -180,9 +181,8 @@ class _StateBase:
     backend = ""
     num_qubits: int
 
-    # subclasses provide: apply(gate) and
-    # nonzero() -> (ascending basis-index array, complex amplitude array)
-    # of the live entries, the arrays every readout starts from
+    # subclasses provide apply(gate) and nonzero(): fresh ascending copies of
+    # the live (basis index, complex amplitude) arrays every readout starts from
 
     def apply_circuit(self, circuit: Circuit) -> "_StateBase":
         if circuit.num_qubits != self.num_qubits:
@@ -196,9 +196,14 @@ class _StateBase:
     def bitstring(self, index: int) -> str:
         return format(index, f"0{self.num_qubits}b")
 
+    def live_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ascending basis indices, probabilities) of the live entries: the one
+        probability rule, equal to the per-entry ``abs(a) ** 2`` bit for bit."""
+        idx, amps = self.nonzero()
+        return idx, np.float_power(np.hypot(amps.real, amps.imag), 2)
+
     def norm(self) -> float:
-        _, amps = self.nonzero()
-        return float(np.sum(np.abs(amps) ** 2))
+        return float(np.sum(self.live_probabilities()[1]))
 
     def nonzero_items(self) -> list[tuple[int, complex]]:
         """(basis index, amplitude) pairs, ascending index."""
@@ -207,15 +212,16 @@ class _StateBase:
 
     def probabilities(self) -> dict[str, float]:
         """Nonzero basis probabilities keyed by printed bit string."""
-        return {self.bitstring(i): abs(a) ** 2 for i, a in self.nonzero_items()}
+        idx, probs = self.live_probabilities()
+        return dict(zip(map(self.bitstring, idx.tolist()), probs.tolist()))
 
     def pattern_items(self, pattern: Controls) -> list[tuple[int, float]]:
         """(index, probability) over nonzero basis states matching a pattern,
         ascending index; the selection is the kernel's ``idx & mask == want``."""
         mask, want = pattern_mask(pattern)
-        idx, amps = self.nonzero()
+        idx, probs = self.live_probabilities()
         hit = (idx & mask) == want
-        return [(i, abs(a) ** 2) for i, a in zip(idx[hit].tolist(), amps[hit].tolist())]
+        return list(zip(idx[hit].tolist(), probs[hit].tolist()))
 
     def pattern_probability(self, pattern: Controls) -> float:
         return float(sum(p for _, p in self.pattern_items(pattern)))
@@ -232,11 +238,10 @@ class _StateBase:
         for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} outside register of {self.num_qubits}")
-        idx, amps = self.nonzero()
-        keys = field_value(idx, qubits).tolist()
+        idx, probs = self.live_probabilities()
         out: dict[int, float] = {}
-        for key, a in zip(keys, amps):  # ascending index: fixed reduction order
-            out[key] = out.get(key, 0.0) + float(abs(a) ** 2)
+        for key, p in zip(field_value(idx, qubits).tolist(), probs.tolist()):  # ascending index: fixed order
+            out[key] = out.get(key, 0.0) + p
         return dict(sorted(out.items()))
 
     def sample(self, shots: int, seed: int) -> dict[str, int]:
@@ -248,10 +253,9 @@ class _StateBase:
             return {}
         if seed is None:
             raise ValueError("sampling without a seed is not reproducible; pass one")
-        idx, amps = self.nonzero()
+        idx, probs = self.live_probabilities()
         if len(idx) == 0:
             raise ValueError("cannot sample from an all-zero state")
-        probs = np.abs(np.asarray(amps)) ** 2
         cum = np.cumsum(probs)
         rng = np.random.default_rng(seed)
         u = rng.random(shots) * cum[-1]
@@ -347,14 +351,14 @@ class DenseState(_StateBase):
 
 
 class SparseState(_StateBase):
-    """Sorted basis indices with their amplitudes; zero entries are absent.
+    """Live basis indices with their amplitudes; zero entries are absent.
 
-    ``_idx`` holds the live basis indices as an ascending ``int64`` array and
-    ``_amps`` their ``complex128`` amplitudes, so a gate is a few array passes
-    and readouts take both arrays as they are. 64-bit indices cap the width
-    at ``SPARSE_QUBIT_LIMIT`` qubits. After every amplitude-mixing gate,
-    entries with magnitude below ``PRUNE_TOL`` are dropped so cancelled
-    branches do not accumulate.
+    ``_idx`` holds the live basis indices as an ``int64`` array and ``_amps``
+    their ``complex128`` amplitudes, in no order: no gate sorts, because each
+    entry's arithmetic does not depend on its position; ``nonzero()`` orders
+    them for readout. 64-bit indices cap the width at ``SPARSE_QUBIT_LIMIT``
+    qubits. After every amplitude-mixing gate, entries with magnitude below
+    ``PRUNE_TOL`` are dropped so cancelled branches do not accumulate.
     """
 
     backend = "sparse"
@@ -363,9 +367,8 @@ class SparseState(_StateBase):
         check_width(num_qubits, self.backend)
         self.num_qubits = num_qubits
         amps = {0: 1.0 + 0.0j} if amps is None else amps
-        keys = sorted(amps)
-        self._idx = np.array(keys, dtype=np.int64)
-        self._amps = np.array([amps[i] for i in keys], dtype=np.complex128)
+        self._idx = np.array(list(amps), dtype=np.int64)
+        self._amps = np.array(list(amps.values()), dtype=np.complex128)
 
     def apply(self, gate: Gate) -> "SparseState":
         n = self.num_qubits
@@ -380,36 +383,35 @@ class SparseState(_StateBase):
             return self
         tbit = 1 << gate.target
         if gate.kind == X:
-            out_idx, out_amps = np.where(hit, idx ^ tbit, idx), amps
-        else:
-            rest = ~hit
-            upper = hit & ((idx & tbit) != 0)
-            lower = hit & ~upper
-            keys0 = idx[lower]  # pair key: the index with the target bit clear
-            keys1 = idx[upper] ^ tbit
-            # Pair keys, ascending and distinct, by a sort: np.unique's first
-            # call adds 1.7 MiB to peak resident memory.
-            keys = np.sort(np.concatenate((keys0, keys1)), kind="stable")
-            first = np.ones(len(keys), dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            keys = keys[first]
-            a0 = np.zeros(len(keys), dtype=np.complex128)
-            a1 = np.zeros(len(keys), dtype=np.complex128)
-            a0[np.searchsorted(keys, keys0)] = amps[lower]  # an absent partner stays 0
-            a1[np.searchsorted(keys, keys1)] = amps[upper]
-            m00, m01, m10, m11 = _gate_matrix(gate)
-            out_idx = np.concatenate((idx[rest], keys, keys | tbit))
-            # Adding 0.0 turns each -0.0 part into +0.0, so the bytes equal a
-            # per-amplitude sum onto a 0.0 accumulator (tests/test_sim.py).
-            out_amps = np.concatenate((amps[rest], m00 * a0 + m01 * a1, m10 * a0 + m11 * a1)) + 0.0
-            live = np.abs(out_amps) >= PRUNE_TOL
-            out_idx, out_amps = out_idx[live], out_amps[live]
-        order = np.argsort(out_idx, kind="stable")  # a merge sort: fast on partly sorted runs
-        self._idx, self._amps = out_idx[order], out_amps[order]
+            self._idx = np.where(hit, idx ^ tbit, idx)
+            return self
+        rest = ~hit
+        upper = hit & ((idx & tbit) != 0)
+        lower = hit & ~upper
+        keys0 = idx[lower]  # pair key: the index with the target bit clear
+        keys1 = idx[upper] ^ tbit
+        # Pair keys, ascending and distinct, by a sort: np.unique's first
+        # call adds 1.7 MiB to peak resident memory.
+        keys = np.sort(np.concatenate((keys0, keys1)), kind="stable")
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        a0 = np.zeros(len(keys), dtype=np.complex128)
+        a1 = np.zeros(len(keys), dtype=np.complex128)
+        a0[np.searchsorted(keys, keys0)] = amps[lower]  # an absent partner stays 0
+        a1[np.searchsorted(keys, keys1)] = amps[upper]
+        m00, m01, m10, m11 = _gate_matrix(gate)
+        out_idx = np.concatenate((idx[rest], keys, keys | tbit))
+        # Adding 0.0 turns each -0.0 part into +0.0, so the bytes equal a
+        # per-amplitude sum onto a 0.0 accumulator (tests/test_sim.py).
+        out_amps = np.concatenate((amps[rest], m00 * a0 + m01 * a1, m10 * a0 + m11 * a1)) + 0.0
+        live = np.abs(out_amps) >= PRUNE_TOL
+        self._idx, self._amps = out_idx[live], out_amps[live]
         return self
 
     def nonzero(self):
-        return self._idx, self._amps
+        order = np.argsort(self._idx)  # indices are distinct: any sort gives one order
+        return self._idx[order], self._amps[order]
 
 
 def prepare_zero(num_qubits: int, backend: str = "sparse") -> _StateBase:

@@ -467,6 +467,30 @@ def test_a_huge_integer_is_echoed_by_its_digit_count(capsys, tmp_path, field):
     assert len(err) < 200
 
 
+HUGE = "9" * 5001  # past Python's 4300-digit limit for int(text)
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("search", "--target-return", HUGE), "or 'max', got a 5001-character text"),
+    (("search", "--target-return", str(10**100)), "value a 101-digit integer does not fit"),
+    (("search", "--target-return", str(-10**100)), "value a negative 101-digit integer does not fit"),
+    (("search", "--target-return", "8", "--iterations", HUGE), "or 'auto', got a 5001-character text"),
+    (("search", "--target-return", "8", "--iterations", str(-10**100)), ">= 0, got a negative 101-digit integer"),
+    (("simulate", "--start", "fixed:" + HUGE), "bad --start state a 5001-character text"),
+    (("simulate", "--start", "fixed:" + str(10**100)), "start state a 101-digit integer outside"),
+    (("enumerate", "--start", "x" * 5001), "or 'fixed:N', got a 5001-character text"),
+], ids=["target-text", "target-int", "target-negative", "iterations-text", "iterations-negative",
+        "start-text", "start-int", "start-word"])
+def test_a_huge_flag_value_is_echoed_by_its_size(capsys, argv, echo):
+    code, out, err = run(capsys, *argv, "--steps", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert echo in err
+    assert len(err) < 100
+
+
 def test_an_integer_literal_over_the_digit_limit_is_refused_in_one_line(capsys, tmp_path):
     path = tmp_path / "long.json"
     path.write_text(save(bundled_mdp()).replace('"num_states": 4', '"num_states": ' + "1" * 5001), encoding="utf-8")

@@ -265,20 +265,32 @@ def test_zero_reward_model_compiles(bundled):
 
 def test_probability_column_is_abs_squared_per_entry(bundled, monkeypatch):
     # np.float_power(np.hypot(re, im), 2) matches Python's abs(a) ** 2 bit for
-    # bit; np.abs(a) ** 2, hypot ** 2 and hypot * hypot each differ on some values
+    # bit; np.abs(a) ** 2, hypot ** 2 and hypot * hypot each differ on some
+    # values. Every readout of the state reads that one rule.
     prepared = build_preparation(bundled, 2, initial="uniform")  # 17 qubits
     rng = np.random.default_rng(12)
     count = 100_000
     scale = 10.0 ** rng.uniform(-150, 150, size=count)
     re = rng.standard_normal(count) * scale
     im = np.where(rng.random(count) < 0.25, 0.0, rng.standard_normal(count) * scale)  # a quarter real-only
-    amps = dict(zip(range(count), (re + 1j * im).tolist()))
+    # entries in shuffled order, as the sparse kernel leaves them between gates
+    amps = dict(zip(rng.permutation(count).tolist(), (re + 1j * im).tolist()))
     state = SparseState(prepared.layout.num_qubits, amps)
     monkeypatch.setattr(PreparedModel, "prepare_state", lambda self, backend="sparse": state)
     table = simulate_distribution(prepared)
     indices = [int(bits, 2) for bits in table.bitstrings().tolist()]
     assert sorted(indices) == list(range(count))
     assert table.probability.tolist() == [abs(amps[i]) ** 2 for i in indices]
+    want = [(i, abs(amps[i]) ** 2) for i in range(count)]
+    assert list(state.probabilities().items()) == [(state.bitstring(i), p) for i, p in want]
+    assert state.pattern_items(()) == want
+    assert list(state.marginal(list(range(state.num_qubits))).items()) == want  # one entry per key
+    # sampling walks the cumulative sum of the same column, in ascending index order
+    cum = np.cumsum(table.probability[np.argsort(indices)])
+    u = np.random.default_rng(5).random(1000) * cum[-1]
+    picks = np.minimum(np.searchsorted(cum, u, side="right"), count - 1)
+    drawn = {state.bitstring(int(i)): int(n) for i, n in zip(*np.unique(picks, return_counts=True))}
+    assert state.sample(1000, 5) == drawn
 
 
 def test_distribution_ordering(bundled):
