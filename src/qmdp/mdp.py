@@ -83,7 +83,7 @@ class MdpSpec:
 
 def _echo(value, text=str) -> str:
     """``text(value)`` for a message, or only the size of an integer or text
-    over ``ECHO_DIGITS`` digits or characters, so a refusal stays one line."""
+    over ``ECHO_DIGITS`` digits or characters, so a refusal stays one short line."""
     if isinstance(value, str) and len(value) > ECHO_DIGITS:
         return f"a {len(value)}-character text"
     if not isinstance(value, int) or abs(value) < 10**ECHO_DIGITS:
