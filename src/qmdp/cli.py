@@ -43,6 +43,14 @@ class CliError(Exception):
     """Flag or input problem that should exit 1 with a message."""
 
 
+def _int_flag(text: str) -> int:
+    """argparse's ``int`` conversion, with a huge bad value echoed by its size."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text, repr)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmdp",
@@ -52,15 +60,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, backend=False, sampling=False, target=False, dump=False, fmt="csv"):
         p.add_argument("--mdp", default="bundled", help="model JSON path, or 'bundled'")
-        p.add_argument("--steps", type=int, default=3, help="horizon T (default 3)")
+        p.add_argument("--steps", type=_int_flag, default=3, help="horizon T (default 3)")
         p.add_argument("--start", default=None, help="'uniform' or 'fixed:N'; default: the model's own")
         p.add_argument("--out", default=None, help="artifact path; stdout when omitted")
         p.add_argument("--format", choices=("csv", "json"), default=fmt, help=f"artifact format (default {fmt})")
         if backend:
             p.add_argument("--backend", choices=("dense", "sparse"), default="sparse")
         if sampling:
-            p.add_argument("--shots", type=int, default=0)
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--shots", type=_int_flag, default=0)
+            p.add_argument("--seed", type=_int_flag, default=None)
         if target:
             p.add_argument("--target-return", default=None, help="integer, or 'max' for the enumerator's best")
             p.add_argument("--iterations", default="auto", help="round count, or 'auto' (default)")
@@ -74,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("enumerate", help="classical trajectory catalog"))
     qlearn = sub.add_parser("qlearn", help="tabular Q-learning with greedy rollouts")
     common(qlearn, fmt="json")
-    qlearn.add_argument("--shots", type=int, default=100, help="greedy rollout trials (default 100)")
-    qlearn.add_argument("--seed", type=int, default=None, help="training and rollout seed (required)")
+    qlearn.add_argument("--shots", type=_int_flag, default=100, help="greedy rollout trials (default 100)")
+    qlearn.add_argument("--seed", type=_int_flag, default=None, help="training and rollout seed (required)")
     return parser
 
 
@@ -111,10 +119,6 @@ def _require_seed(args) -> None:
         raise CliError("--shots needs --seed so the run is reproducible")
 
 
-def _float_text(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_artifact(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -123,9 +127,8 @@ def _write_artifact(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _sibling_path(out: str, suffix: str, extension: str | None = None) -> str:
-    stem, ext = os.path.splitext(out)
-    return f"{stem}_{suffix}{extension if extension is not None else ext}"
+def _sibling_path(out: str, suffix: str, extension: str) -> str:
+    return f"{os.path.splitext(out)[0]}_{suffix}{extension}"
 
 
 def _trajectory_text(table, counts, fmt: str) -> str:
@@ -169,7 +172,7 @@ def _transition_table_text(records, fmt: str) -> str:
         doc = [{"state": s, "action": a, "next": n, "prob": p} for s, a, n, p in rows]
         return json.dumps(doc, indent=2) + "\n"
     lines = ["state,action,next,prob"]
-    lines.extend(f"{s},{a},{n},{_float_text(p)}" for s, a, n, p in rows)
+    lines.extend(f"{s},{a},{n},{p!r}" for s, a, n, p in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -170,17 +170,13 @@ class TrajectoryTable:
     def bitstrings(self) -> np.ndarray:
         """Printed basis strings, most significant qubit first, as an
         ASCII ``S{n}`` array, one byte per digit (``.astype(str)`` gives
-        text): each register's bits go into a ``(rows, n)`` matrix of
-        digits, one role of every step at a time, then each row is read as
-        one string. Built on each call, not kept beside the columns."""
-        layout, rows = self.layout, len(self)
-        bits = np.empty((rows, layout.num_qubits), dtype=np.uint8)  # column q: qubit q
-        body = bits[:, :layout.steps * layout.step_width].reshape(rows, layout.steps, layout.step_width)
-        values = self.registers[:, :-1].reshape(rows, layout.steps, len(STEP_ROLES))
-        for role, (offset, width) in enumerate(layout.fields[:len(STEP_ROLES)]):  # step 0's offsets
-            body[:, :, offset:offset + width] = values[:, :, role, None] >> np.arange(width) & 1
-        offset, width = layout.fields[-1]
-        bits[:, offset:] = self.registers[:, -1:] >> np.arange(width) & 1
+        text): each register column's bits go into a ``(rows, n)`` matrix of
+        digits, then each row is read as one string. Built on each call, not
+        kept beside the columns."""
+        layout = self.layout
+        bits = np.empty((len(self), layout.num_qubits), dtype=np.uint8)  # column q: qubit q
+        for (offset, width), values in zip(layout.fields, self.registers.T):
+            bits[:, offset:offset + width] = values[:, None] >> np.arange(width) & 1
         text = bits[:, ::-1] + ord("0")
         return text.view(f"S{layout.num_qubits}").ravel()
 

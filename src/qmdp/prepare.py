@@ -62,8 +62,6 @@ def _encode_distribution(circuit, qubits, probs, base_controls):
         mass0 = sum(probs[lo:mid])
         mass1 = sum(probs[mid:hi])
         mass = mass0 + mass1
-        if mass == 0.0:
-            return
         qubit = qubits[bit_index]
         if mass1 == 0.0:
             node(bit_index - 1, lo, mid, controls)
@@ -204,8 +202,6 @@ def build_preparation(
     rather than silently skewed.
     """
     spec = validated(spec)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     if spec.num_actions & (spec.num_actions - 1):
         raise ValueError(
             f"uniform action draw needs a power-of-two action count, got {spec.num_actions}"

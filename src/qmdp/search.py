@@ -135,16 +135,14 @@ def grover_search(
         raise ValueError("sampling without a seed is not reproducible; pass one")
     pattern = oracle_pattern(prepared, oracle)
     state = prepared.prepare_state(backend)
-    before = dict(state.pattern_items(pattern))
-    p0 = sum(before.values())
-    if iterations is None and not 0.0 < p0 < 1.0:
-        # nothing to rotate toward (or away from): all mass already settled
-        rounds = 0
-    elif iterations is None:
-        rounds = iterations_hint(p0)
+    before = state.pattern_items(pattern)  # ascending index
+    p0 = sum(p for _, p in before)
+    if iterations is None:
+        # a settled mass (0 or 1) has nothing to rotate toward or away from
+        rounds = iterations_hint(p0) if 0.0 < p0 < 1.0 else 0
+    elif iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     else:
-        if iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {iterations}")
         rounds = iterations
     if rounds:
         grover_round = build_oracle(prepared, oracle).extend(build_diffuser(prepared))
@@ -153,12 +151,12 @@ def grover_search(
     after = dict(state.pattern_items(pattern))
     counts = state.sample(shots, seed) if shots else None
     marked = []
-    for index in sorted(before):
+    for index, p in before:
         bits = state.bitstring(index)
         marked.append(
             MarkedState(
                 bitstring=bits,
-                probability_before=before[index],
+                probability_before=p,
                 probability_after=after.get(index, 0.0),
                 count=counts.get(bits, 0) if counts is not None else None,
             )

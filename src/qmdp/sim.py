@@ -131,9 +131,6 @@ class Circuit:
         """Gates reversed, each inverted; C followed by C.inverse() is the identity."""
         return Circuit(self.num_qubits, [g.inverse() for g in reversed(self.gates)])
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 def format_circuit(circuit: Circuit) -> str:
     """Plain-text dump, one gate per line:
@@ -148,11 +145,10 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
-    # Row-major 2x2 real matrix (m00, m01, m10, m11).
+    # Row-major 2x2 real matrix (m00, m01, m10, m11) of H and Ry; the
+    # kernels run X and FLIP as index moves and negations instead.
     if gate.kind == H:
         return _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2
-    if gate.kind == X:
-        return 0.0, 1.0, 1.0, 0.0
     c = math.cos(gate.theta / 2.0)
     s = math.sin(gate.theta / 2.0)
     return c, -s, s, c
@@ -273,7 +269,9 @@ class _StateBase:
 
 
 class DenseState(_StateBase):
-    """Contiguous array of 2**n complex amplitudes."""
+    """Contiguous array of 2**n complex amplitudes. Every gate kind walks it
+    in rows of ``2**CHUNK_QUBITS`` amplitudes: the controls on qubits above a
+    row pick the rows, those inside a row index into it."""
 
     backend = "dense"
 
@@ -290,20 +288,11 @@ class DenseState(_StateBase):
         for q in gate.qubits():
             if q >= n:
                 raise ValueError(f"gate touches qubit {q} outside register of {n}")
-        if gate.kind == FLIP:
-            # Exact negation in place, signed zeros as in the sparse kernel;
-            # the Ellipsis keeps a view when every axis is a control.
-            index: list = [slice(None)] * n
-            for q, b in gate.controls:
-                index[n - 1 - q] = b
-            view = self._amps.reshape((2,) * n)[(*index, ...)]
-            np.negative(view, out=view)
-            return self
         # Rows of 2**c amplitudes, each a (2,)*c grid; qubit q < c is axis
         # c-1-q of a row and qubit q >= c is bit q-c of the row number.
         c = min(CHUNK_QUBITS, n)
         rows = self._amps.reshape((-1,) + (2,) * c)
-        index = [slice(None)] * c
+        index: list = [slice(None)] * c
         mask = want = 0
         for q, b in gate.controls:
             if q < c:
@@ -311,6 +300,15 @@ class DenseState(_StateBase):
             else:
                 mask |= 1 << (q - c)
                 want |= b << (q - c)
+        if gate.kind == FLIP:
+            # Exact negation in place, signed zeros as in the sparse kernel;
+            # the Ellipsis keeps a view when every axis of a row is a control.
+            sel = (*index, ...)
+            for r in range(len(rows)):
+                if r & mask == want:
+                    view = rows[r][sel]
+                    np.negative(view, out=view)
+            return self
         if gate.target < c:  # both halves of the pair lie in one row
             index[c - 1 - gate.target] = 0
             sel0 = (*index, ...)

@@ -281,6 +281,17 @@ def test_value_iteration_tables(bundled):
     assert result.values[1][3] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_horizons_below_one_are_refused(bundled, horizon):
+    message = f"^horizon must be >= 1, got {horizon}$"
+    with pytest.raises(ValueError, match=message):
+        value_iteration(bundled, horizon)
+    with pytest.raises(ValueError, match=message):
+        q_learning(bundled, QlConfig(seed=0, horizon=horizon))
+    with pytest.raises(ValueError, match=message):
+        greedy_rollouts(bundled, np.zeros((4, 2)), trials=1, horizon=horizon, initial=0, seed=0)
+
+
 def test_value_iteration_breaks_ties_low():
     spec = MdpSpec(2, 2, (
         Transition(0, 0, 1, 1.0), Transition(0, 1, 1, 1.0),

@@ -306,6 +306,18 @@ def test_dump_circuit_listing(capsys, tmp_path):
     assert kinds <= {"h", "x", "ry", "flip"}
 
 
+def test_search_dumps_the_simulate_circuit(capsys, tmp_path):
+    # From two steps on, simulate compiles the return register too, so both
+    # subcommands list the same preparation circuit.
+    listings = []
+    for argv in (["simulate"], ["search", "--target-return", "max"]):
+        dump = tmp_path / f"{argv[0]}.txt"
+        code, _, _ = run(capsys, *argv, "--steps", "2", "--start", "fixed:0", "--dump-circuit", str(dump))
+        assert code == 0
+        listings.append(read(dump))
+    assert listings[0] and listings[0] == listings[1]
+
+
 def test_qlearn_fixed_start_policy_line(capsys, tmp_path):
     out = tmp_path / "ql.json"
     code, _, err = run(capsys, "qlearn", "--start", "fixed:0", "--seed", "3", "--out", str(out))
@@ -346,6 +358,18 @@ def test_sampling_requires_seed(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "seed" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search"], "search needs --target-return (an integer or 'max')"),
+    (["qlearn", "--seed", "1", "--format", "csv"], "qlearn reports are JSON; pass --format json or drop the flag"),
+    (["qlearn", "--seed", "1", "--shots", "0"], "--shots (rollout trials) must be >= 1, got 0"),
+], ids=["search-without-target", "qlearn-csv", "qlearn-no-rollouts"])
+def test_flag_refusals_exit_1_in_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_search_rejects_csv_format(capsys):
@@ -489,6 +513,25 @@ def test_a_huge_flag_value_is_echoed_by_its_size(capsys, argv, echo):
     assert err.count("\n") == 1
     assert echo in err
     assert len(err) < 100
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("simulate", "--steps", HUGE), "a 5001-character text"),
+    (("search", "--target-return", "8", "--shots", HUGE), "a 5001-character text"),
+    (("simulate", "--seed", HUGE), "a 5001-character text"),
+    (("qlearn", "--shots", HUGE), "a 5001-character text"),
+    (("enumerate", "--steps", HUGE), "a 5001-character text"),
+    (("simulate", "--steps", "three"), "'three'"),
+], ids=["simulate-steps", "search-shots", "simulate-seed", "qlearn-shots", "enumerate-steps", "short"])
+def test_a_huge_integer_flag_is_echoed_by_its_size(capsys, argv, echo):
+    # argparse exits 2; a short bad value keeps argparse's own message.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last == f"qmdp {argv[0]}: error: argument {argv[-2]}: invalid int value: {echo}"
 
 
 def test_an_integer_literal_over_the_digit_limit_is_refused_in_one_line(capsys, tmp_path):

@@ -43,6 +43,11 @@ def test_registers_are_disjoint_and_cover_everything(bundled):
     seen.extend(layout.return_qubits())
     assert sorted(seen) == list(range(layout.num_qubits))
     assert layout.register_qubits("return", 0) == layout.return_qubits()
+    with pytest.raises(ValueError, match="^unknown register role 'total'$"):
+        layout.register_qubits("total")
+    for step in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^step {step} outside \[0, 3\)$"):
+            layout.state_qubits(step)
 
 
 def test_step_blocks_ascend_from_zero(bundled):
@@ -132,6 +137,9 @@ def test_encode_rejects_out_of_range(bundled):
         encode_index(layout, ((0, 0, 0, 0),), 99)
     with pytest.raises(ValueError):
         encode_index(layout, ((0, 0, 0, 0), (0, 0, 0, 0)), 0)
+    bare = RegisterLayout.for_mdp(bundled, 1, include_return=False)
+    with pytest.raises(ValueError, match="^return -1 is negative$"):
+        encode_index(bare, ((0, 0, 0, 0),), -1)
 
 
 def test_decode_rejects_malformed_strings(bundled):

@@ -1,6 +1,7 @@
 """Model schema, validation, and the JSON document round trip."""
 
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -66,6 +67,7 @@ def test_validate_reports_each_violation():
     assert "initial" in text
     with pytest.raises(MdpValidationError):
         validated(spec)
+    assert validate(MdpSpec(0, 0, (), ())) == ["num_states must be >= 1, got 0", "num_actions must be >= 1, got 0"]
 
 
 def test_validate_rejects_duplicates_and_bad_probabilities():
@@ -154,6 +156,20 @@ def test_load_rejects_bad_documents():
         load('{"num_states": 1}')
     with pytest.raises(MdpFormatError):
         load(save(bundled_mdp()).replace('"initial": "uniform"', '"initial": "sometimes"'))
+    entry = {"state": 0, "action": 0, "next": 1, "prob": 0.6}
+    for key, value, message in [
+        ("num_states", 4.0, "field 'num_states' in top level must be an integer, got 4.0"),
+        ("transitions", {}, "field 'transitions' in top level must be a list, got {}"),
+        ("transitions", [[0, 0, 1, 0.6]], "transitions[0] must be an object"),
+        ("transitions", [{**entry, "weight": 1}], "unknown field 'weight' in transitions[0]"),
+        ("transitions", [{"state": 0, "action": 0, "next": 1}], "missing field 'prob' in transitions[0]"),
+        ("transitions", [{**entry, "prob": "0.6"}], "field 'prob' in transitions[0] must be a number, got '0.6'"),
+        ("rewards", [0, 1, 2.5, 3], "field 'rewards[2]' must be an integer, got 2.5"),
+    ]:
+        doc = json.loads(save(bundled_mdp()))
+        doc[key] = value
+        with pytest.raises(MdpFormatError, match=f"^{re.escape(message)}$"):
+            load(json.dumps(doc))
 
 
 def test_load_refuses_an_integer_probability_beyond_float_range():

@@ -15,6 +15,7 @@ from qmdp.prepare import (
     PreparedModel,
     build_preparation,
     build_return_adder,
+    build_step_chain,
     simulate_distribution,
     theta_for,
 )
@@ -317,3 +318,6 @@ def test_rejections(bundled):
     ), (0, 1))
     with pytest.raises(ValueError, match="action count"):
         build_preparation(three_actions, 1)
+    layout = RegisterLayout.for_mdp(bundled, 2)
+    with pytest.raises(ValueError, match="^no step follows 1 in a 2-step layout$"):
+        build_step_chain(Circuit(layout.num_qubits), layout, 1)

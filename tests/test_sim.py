@@ -30,6 +30,7 @@ from qmdp.sim import (
     Gate,
     SparseState,
     _gate_matrix,
+    check_width,
     format_circuit,
     prepare_zero,
 )
@@ -461,17 +462,23 @@ def test_validation_rejects_malformed_gates():
         Gate("x", 1, controls=((0, 1), (0, 0)))
     with pytest.raises(ValueError):
         Gate("x", 1, controls=((0, 2),))
+    with pytest.raises(ValueError, match="^control qubit -1 is negative$"):
+        Gate("x", 1, controls=((-1, 1),))
 
 
 def test_width_mismatches_are_rejected():
     with pytest.raises(ValueError):
         Circuit(2).x(2)
-    with pytest.raises(ValueError):
-        prepare_zero(2, "dense").apply(Gate("x", 5))
+    for backend in ("dense", "sparse"):
+        with pytest.raises(ValueError, match="^gate touches qubit 5 outside register of 2$"):
+            prepare_zero(2, backend).apply(Gate("x", 5))
     with pytest.raises(ValueError):
         prepare_zero(2, "sparse").apply_circuit(Circuit(3).x(0))
     with pytest.raises(ValueError):
         Circuit(2).extend(Circuit(3))
+    for backend in ("dense", "sparse"):
+        with pytest.raises(ValueError, match="^num_qubits must be >= 1, got 0$"):
+            check_width(0, backend)
 
 
 def test_dense_capacity_is_enforced():
@@ -501,6 +508,9 @@ def test_sample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         state.sample(-1, seed=0)
     assert state.sample(0, seed=0) == {}
+    for empty in (DenseState(1, np.zeros(2, dtype=np.complex128)), SparseState(1, {})):
+        with pytest.raises(ValueError, match="^cannot sample from an all-zero state$"):
+            empty.sample(1, seed=0)
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
