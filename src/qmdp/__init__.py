@@ -43,7 +43,6 @@ from .prepare import (
 )
 from .search import (
     MarkedState,
-    OracleSpec,
     SearchReport,
     build_diffuser,
     build_oracle,
@@ -62,7 +61,6 @@ __all__ = [
     "MdpFormatError",
     "MdpSpec",
     "MdpValidationError",
-    "OracleSpec",
     "PreparedModel",
     "QlConfig",
     "RegisterLayout",

@@ -6,7 +6,8 @@ value iteration, tabular Q-learning and greedy rollouts, all over the
 row with a running sum, no derived table. The enumerator, the ground truth
 the simulation is checked against, expands a numpy frontier one step per
 pass and returns the same :class:`~qmdp.layout.TrajectoryTable` readout
-does; no amplitudes.
+does; no amplitudes. Q-learning and rollouts start where the model starts,
+``spec.initial``; only the enumerator takes an ``initial`` to resolve.
 """
 
 from __future__ import annotations
@@ -227,20 +228,17 @@ def greedy_rollouts(
     qtable: np.ndarray,
     trials: int,
     horizon: int,
-    initial: int | str | None,
     seed: int,
 ) -> list[RolloutRecord]:
     """Run seeded greedy-policy rollouts and deduplicate the trajectories.
 
-    ``initial`` is resolved by :func:`~qmdp.mdp.resolve_start`, as in
-    :func:`enumerate_trajectories`: None keeps the model's own start. Results
-    sort by descending total reward, then by the step tuples, so the
-    best observed trajectory comes first.
+    Rollouts start from the spec's initial distribution, as in
+    :func:`q_learning`. Results sort by descending total reward, then by the
+    step tuples, so the best observed trajectory comes first.
     """
     validated(spec)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    spec = resolve_start(spec, initial)
     rng = np.random.default_rng(seed)
     policy = greedy_policy(qtable).tolist()
     seen: dict[tuple, int] = {}

@@ -27,10 +27,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
-from .layout import decode_trajectory, probability_order
+from .layout import RegisterLayout, decode_trajectory, probability_order
 from .mdp import _echo, bundled_mdp, load, resolve_start
 from .prepare import build_preparation, simulate_distribution
-from .search import OracleSpec, grover_search
+from .search import grover_search
 from .sim import check_width, format_circuit
 
 TRAJECTORY_NUMBER_NOTE = (
@@ -179,6 +179,7 @@ def _transition_table_text(records, fmt: str) -> str:
 def _cmd_simulate(args) -> int:
     _require_seed(args)
     spec = _load_spec(args.mdp, args.start)
+    check_width(RegisterLayout.for_mdp(spec, args.steps, include_return=args.steps > 1).num_qubits, args.backend)
     prepared = build_preparation(spec, args.steps, include_return=args.steps > 1)
     if args.dump_circuit:
         _write_artifact(format_circuit(prepared.circuit), args.dump_circuit)
@@ -268,14 +269,14 @@ def _cmd_search(args) -> int:
         raise CliError("search reports are JSON; pass --format json or drop the flag")
     _require_seed(args)
     spec = _load_spec(args.mdp, args.start)
+    check_width(RegisterLayout.for_mdp(spec, args.steps).num_qubits, args.backend)
     prepared = build_preparation(spec, args.steps)
     if args.dump_circuit:
         _write_artifact(format_circuit(prepared.circuit), args.dump_circuit)
-    check_width(prepared.layout.num_qubits, args.backend)  # before 'max' enumerates the catalog
     target = _resolve_target(args.target_return, spec, args.steps)
     report = grover_search(
         prepared,
-        OracleSpec(target_return=target),
+        target,
         backend=args.backend,
         iterations=_resolve_iterations(args.iterations),
         shots=args.shots,
@@ -304,7 +305,7 @@ def _cmd_qlearn(args) -> int:
     table = q_learning(spec, config)
     policy = greedy_policy(table).tolist()
     policy_line = " ".join(f"s{s}:a{a}" for s, a in enumerate(policy))
-    rollouts = greedy_rollouts(spec, table, trials=args.shots, horizon=args.steps, initial=None, seed=args.seed)
+    rollouts = greedy_rollouts(spec, table, trials=args.shots, horizon=args.steps, seed=args.seed)
     doc = {
         "config": asdict(config),
         "q": table.tolist(),
@@ -337,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     # MdpFormatError and MdpValidationError are ValueErrors
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the refused allocation
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
 
 

@@ -1,12 +1,12 @@
 """Amplitude amplification over a prepared trajectory superposition.
 
-The oracle is one phase flip on a basis pattern assembled from register
-constraints (a required total, specific per-step register values). The
-diffuser is built from the preparation circuit itself: uncompute, flip the
-all-zeros state, flip the global phase, recompute. That product is exactly
-the reflection about the prepared state with eigenvalue +1 on it, so after
-k rounds a marked mass p0 sits at sin^2((2k+1) arcsin sqrt(p0)) and the
-relative weights inside the marked set are untouched.
+The oracle is one phase flip on the bit pattern of a target return in the
+total register. The diffuser is built from the preparation circuit itself:
+uncompute, flip the all-zeros state, flip the global phase, recompute. That
+product is exactly the reflection about the prepared state with eigenvalue
++1 on it, so after k rounds a marked mass p0 sits at
+sin^2((2k+1) arcsin sqrt(p0)) and the relative weights inside the marked set
+are untouched.
 """
 
 from __future__ import annotations
@@ -14,57 +14,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .layout import ROLES, value_pattern
+from .layout import value_pattern
 from .prepare import PreparedModel
 from .sim import Circuit
 
 
-@dataclass(frozen=True)
-class OracleSpec:
-    """What to mark: an exact running total, per-step register values, or both.
-
-    ``constraints`` entries are (role, step, value) with role one of the
-    layout's :data:`~qmdp.layout.ROLES`; the step of a return constraint is
-    ignored. All constraints are conjoined.
-    """
-
-    target_return: int | None = None
-    constraints: tuple[tuple[str, int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "constraints",
-            tuple((role, int(step), int(value)) for role, step, value in self.constraints),
-        )
-        if self.target_return is None and not self.constraints:
-            raise ValueError("oracle needs a target total or at least one constraint")
-        for role, _, _ in self.constraints:
-            if role not in ROLES:
-                raise ValueError(f"unknown register role {role!r}")
-
-
-def oracle_pattern(prepared: PreparedModel, oracle: OracleSpec):
-    """The (qubit, bit) pattern the oracle's phase flip matches."""
+def oracle_pattern(prepared: PreparedModel, target_return: int):
+    """The (qubit, bit) pattern the oracle's phase flip matches: the total
+    register holding ``target_return``."""
     layout = prepared.layout
-    pattern: tuple[tuple[int, int], ...] = ()
-    if oracle.target_return is not None:
-        if not layout.return_bits:
-            raise ValueError("layout has no total register to constrain")
-        pattern += value_pattern(layout.return_qubits(), oracle.target_return)
-    for role, step, value in oracle.constraints:
-        pattern += value_pattern(layout.register_qubits(role, step), value)
-    seen = set()
-    for q, _ in pattern:
-        if q in seen:
-            raise ValueError("oracle constraints overlap on a register")
-        seen.add(q)
-    return pattern
+    if not layout.return_bits:
+        raise ValueError("layout has no total register to constrain")
+    return value_pattern(layout.return_qubits(), target_return)
 
 
-def build_oracle(prepared: PreparedModel, oracle: OracleSpec) -> Circuit:
-    """Single flip gate marking every basis state the oracle accepts."""
-    return Circuit(prepared.layout.num_qubits).flip(oracle_pattern(prepared, oracle))
+def build_oracle(prepared: PreparedModel, target_return: int) -> Circuit:
+    """Single flip gate marking every basis state whose total is ``target_return``."""
+    return Circuit(prepared.layout.num_qubits).flip(oracle_pattern(prepared, target_return))
 
 
 def build_diffuser(prepared: PreparedModel) -> Circuit:
@@ -115,13 +81,14 @@ class SearchReport:
 
 def grover_search(
     prepared: PreparedModel,
-    oracle: OracleSpec,
+    target_return: int,
     backend: str = "sparse",
     iterations: int | None = None,
     shots: int = 0,
     seed: int | None = None,
 ) -> SearchReport:
-    """Amplify the oracle's marked set and report what happened.
+    """Amplify the trajectories whose total is ``target_return`` and report
+    what happened.
 
     ``iterations`` of None means the hint for the measured marked mass.
     When that mass is zero there is nothing to rotate toward: the state is
@@ -133,7 +100,7 @@ def grover_search(
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots and seed is None:
         raise ValueError("sampling without a seed is not reproducible; pass one")
-    pattern = oracle_pattern(prepared, oracle)
+    pattern = oracle_pattern(prepared, target_return)
     state = prepared.prepare_state(backend)
     before = state.pattern_items(pattern)  # ascending index
     p0 = sum(p for _, p in before)
@@ -145,7 +112,7 @@ def grover_search(
     else:
         rounds = iterations
     if rounds:
-        grover_round = build_oracle(prepared, oracle).extend(build_diffuser(prepared))
+        grover_round = build_oracle(prepared, target_return).extend(build_diffuser(prepared))
         for _ in range(rounds):
             state.apply_circuit(grover_round)
     after = dict(state.pattern_items(pattern))

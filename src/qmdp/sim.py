@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layout import field_value, pattern_mask
+from .mdp import _echo
 
 H = "h"
 X = "x"
@@ -161,7 +162,7 @@ def check_width(num_qubits: int, backend: str) -> None:
     if backend == "dense" and num_qubits > DENSE_QUBIT_LIMIT:
         raise ValueError(
             f"dense backend capacity exceeded: {num_qubits} qubits needs "
-            f"{(2**num_qubits * 16) >> 20} MiB of amplitudes, limit is "
+            f"{_echo((2**num_qubits * 16) >> 20)} MiB of amplitudes, limit is "
             f"{DENSE_QUBIT_LIMIT} qubits (1 GiB); use the sparse backend"
         )
     if backend == "sparse" and num_qubits > SPARSE_QUBIT_LIMIT:

@@ -24,7 +24,6 @@ from test_sim import as_vector, random_gate
 
 from qmdp import (
     Circuit,
-    OracleSpec,
     QlConfig,
     RegisterLayout,
     SparseState,
@@ -155,9 +154,7 @@ def test_c3_return_adder_exhaustive():
 def test_c4_scenario_one_search():
     start = time.perf_counter()
     prepared = build_preparation(bundled_mdp(), 3, initial=0)
-    report_obj = grover_search(
-        prepared, OracleSpec(target_return=8), iterations=1, shots=1000, seed=1
-    )
+    report_obj = grover_search(prepared, 8, iterations=1, shots=1000, seed=1)
     marked = {m.bitstring: m for m in report_obj.marked}
     set_ok = tuple(sorted(marked)) == SCENARIO_ONE_MARKED
     p0 = report_obj.probability_before
@@ -185,7 +182,7 @@ def test_c4_scenario_one_search():
 def test_c5_scenario_two_search():
     start = time.perf_counter()
     prepared = build_preparation(bundled_mdp(), 3, initial="uniform")
-    report_obj = grover_search(prepared, OracleSpec(target_return=9), iterations=1)
+    report_obj = grover_search(prepared, 9, iterations=1)
     p0 = report_obj.probability_before
     size_ok = len(report_obj.marked) == 16
     p0_ok = abs(p0 - 0.17578125) < 1e-9
@@ -310,7 +307,7 @@ def test_c8_scale_check():
 
     sparse_start = time.perf_counter()
     prepared = build_preparation(spec, 3, initial="uniform")
-    sparse_report = grover_search(prepared, OracleSpec(target_return=9), iterations=1)
+    sparse_report = grover_search(prepared, 9, iterations=1)
     sparse_elapsed = time.perf_counter() - sparse_start
     width_ok = prepared.layout.num_qubits == 25
     sparse_ok = width_ok and sparse_elapsed < 5.0
@@ -322,9 +319,7 @@ def test_c8_scale_check():
     amp_bytes = (1 << 25) * 16
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     dense_start = time.perf_counter()
-    dense_report = grover_search(
-        prepared, OracleSpec(target_return=9), backend="dense", iterations=1
-    )
+    dense_report = grover_search(prepared, 9, backend="dense", iterations=1)
     dense_elapsed = time.perf_counter() - dense_start
     rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     grown_mib = max(0, rss_after - rss_before) // 1024

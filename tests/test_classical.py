@@ -84,7 +84,6 @@ def test_enumeration_rejects_bad_initial(bundled):
 
 @pytest.mark.parametrize("initial", [9, -1, 2.5])
 def test_bad_starts_are_refused_by_name(bundled, initial):
-    table = np.zeros((bundled.num_states, bundled.num_actions))
     if isinstance(initial, int):
         message = f"start state {initial} outside 0..3"
     else:
@@ -92,8 +91,6 @@ def test_bad_starts_are_refused_by_name(bundled, initial):
     message = f"^{re.escape(message)}$"
     with pytest.raises(ValueError, match=message):
         enumerate_trajectories(bundled, 3, initial)
-    with pytest.raises(ValueError, match=message):
-        greedy_rollouts(bundled, table, 3, 2, initial=initial, seed=0)
 
 
 def _path_count(spec, steps, initial):
@@ -289,7 +286,7 @@ def test_horizons_below_one_are_refused(bundled, horizon):
     with pytest.raises(ValueError, match=message):
         q_learning(bundled, QlConfig(seed=0, horizon=horizon))
     with pytest.raises(ValueError, match=message):
-        greedy_rollouts(bundled, np.zeros((4, 2)), trials=1, horizon=horizon, initial=0, seed=0)
+        greedy_rollouts(bundled, np.zeros((4, 2)), trials=1, horizon=horizon, seed=0)
 
 
 def test_value_iteration_breaks_ties_low():
@@ -360,7 +357,7 @@ def test_q_learning_reaches_closed_form_on_self_loop():
 
 def test_greedy_rollouts_fixed_start(bundled):
     table = q_learning(bundled, QlConfig(seed=0))
-    records = greedy_rollouts(bundled, table, trials=100, horizon=3, initial=0, seed=9)
+    records = greedy_rollouts(resolve_start(bundled, 0), table, trials=100, horizon=3, seed=9)
     best = records[0]
     assert best.steps == ((0, 0, 2, 2), (2, 1, 3, 3), (3, 1, 3, 3))
     assert best.total_reward == 8
@@ -369,22 +366,22 @@ def test_greedy_rollouts_fixed_start(bundled):
 
 def test_greedy_rollouts_uniform_start_reaches_nine(bundled):
     table = q_learning(bundled, QlConfig(seed=0))
-    records = greedy_rollouts(bundled, table, trials=100, horizon=3, initial=None, seed=9)
+    records = greedy_rollouts(bundled, table, trials=100, horizon=3, seed=9)
     assert max(r.total_reward for r in records) == 9
 
 
 def test_greedy_rollouts_deterministic_spec_dedupes():
     spec = MdpSpec(2, 1, (Transition(0, 0, 1, 1.0), Transition(1, 0, 0, 1.0)), (0, 1))
     table = np.zeros((2, 1))
-    records = greedy_rollouts(spec, table, trials=50, horizon=2, initial=0, seed=1)
+    records = greedy_rollouts(resolve_start(spec, 0), table, trials=50, horizon=2, seed=1)
     assert len(records) == 1
     assert records[0].count == 50
 
 
 def test_greedy_rollouts_are_seed_deterministic(bundled):
     table = q_learning(bundled, QlConfig(seed=0, episodes=500))
-    a = greedy_rollouts(bundled, table, 40, 3, None, seed=5)
-    b = greedy_rollouts(bundled, table, 40, 3, None, seed=5)
+    a = greedy_rollouts(bundled, table, 40, 3, seed=5)
+    b = greedy_rollouts(bundled, table, 40, 3, seed=5)
     assert a == b
 
 

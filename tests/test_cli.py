@@ -10,6 +10,8 @@ import io
 import json
 import math
 import os
+import resource
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmdp
 from qmdp import MdpSpec, Transition, build_preparation, bundled_mdp, save, simulate_distribution
 from qmdp.cli import CliError, _counts_csv, _trajectory_text, main
 from qmdp.classical import enumerate_trajectories
@@ -446,6 +449,47 @@ def test_search_max_refuses_width_before_enumerating(capsys, monkeypatch, flags,
     assert out == ""
     assert err.startswith(message)
     assert err.count("\n") == 1  # one message, no traceback
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["search", "--target-return", "3"],
+], ids=["simulate", "search"])
+def test_width_is_refused_before_compiling(capsys, monkeypatch, tmp_path, argv):
+    def build_preparation(*args, **kwargs):
+        raise AssertionError("a circuit the backend refuses was compiled")
+
+    monkeypatch.setattr("qmdp.cli.build_preparation", build_preparation)
+    dump = tmp_path / "circuit.txt"
+    flags = ["--steps", "1000000", "--start", "fixed:0", "--dump-circuit", str(dump)]
+    code, out, err = run(capsys, *argv, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sparse backend capacity exceeded: 7000022 qubits, limit is 63")
+    assert err.count("\n") == 1  # one message, no traceback
+    assert not dump.exists()
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--shots", "10000000000000", "--seed", "1"],
+    ["search", "--target-return", "3", "--shots", "10000000000000", "--seed", "1"],
+    ["enumerate", "--steps", "3000000", "--start", "fixed:0"],
+], ids=["simulate-shots", "search-shots", "enumerate-deep"])
+def test_a_refused_allocation_exits_1_in_one_line(argv):
+    # The child caps its own address space, so the allocation fails the same
+    # way whatever the host's overcommit policy.
+    src = os.path.dirname(os.path.dirname(qmdp.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-m", "qmdp.cli", *argv], env=env, preexec_fn=_limit_address_space,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: out of memory: Unable to allocate ")
+    assert result.stderr.count("\n") == 1  # one message, no traceback
 
 
 def test_enumerate_expands_a_deep_horizon(capsys, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qmdp.classical import enumerate_trajectories, expected_return, greedy_rollouts
 from qmdp.layout import RegisterLayout
-from qmdp.mdp import MdpSpec, Transition
+from qmdp.mdp import MdpSpec, Transition, resolve_start
 from qmdp.prepare import (
     PreparedModel,
     build_preparation,
@@ -168,7 +168,7 @@ def test_every_function_reads_a_start_alike(bundled, start):
     enumerated = enumerate_trajectories(pinned, 2, start)
     assert {r.bitstring for r in simulated} == {r.bitstring for r in enumerated}
     assert {r.steps[0][0] for r in enumerated} == starts
-    rollouts = greedy_rollouts(pinned, np.zeros((4, 2)), trials=200, horizon=1, initial=start, seed=0)
+    rollouts = greedy_rollouts(resolve_start(pinned, start), np.zeros((4, 2)), 200, horizon=1, seed=0)
     assert {r.steps[0][0] for r in rollouts} == starts
 
 

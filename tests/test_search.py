@@ -1,16 +1,16 @@
 """Oracle, diffuser, and the amplification law on both bundled scenarios."""
 
+import contextlib
+import io
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from qmdp.mdp import MdpSpec
 from qmdp.prepare import build_preparation
 from qmdp.search import (
-    OracleSpec,
-    SearchReport,
     build_diffuser,
     build_oracle,
     grover_search,
@@ -30,39 +30,27 @@ def law(p0, k):
 
 def test_oracle_pattern_covers_requested_registers(bundled):
     prepared = fixed_start(bundled, 0)
-    pattern = oracle_pattern(prepared, OracleSpec(target_return=8))
+    pattern = oracle_pattern(prepared, 8)
     assert dict(pattern) == {
         q: (8 >> j) & 1 for j, q in enumerate(prepared.layout.return_qubits())
     }
-    both = oracle_pattern(
-        prepared, OracleSpec(target_return=8, constraints=(("next", 2, 3),))
-    )
-    assert len(both) == 4 + prepared.layout.state_bits
 
 
 def test_oracle_spec_rejections(bundled):
     prepared = fixed_start(bundled, 0)
-    with pytest.raises(ValueError):
-        OracleSpec()
-    with pytest.raises(ValueError):
-        OracleSpec(constraints=(("flux", 0, 1),))
     with pytest.raises(ValueError, match="fit"):
-        oracle_pattern(prepared, OracleSpec(target_return=99))
-    with pytest.raises(ValueError, match="overlap"):
-        oracle_pattern(
-            prepared, OracleSpec(target_return=8, constraints=(("return", 0, 8),))
-        )
+        oracle_pattern(prepared, 99)
     bare = build_preparation(bundled, 1, initial=0, include_return=False)
     with pytest.raises(ValueError, match="no total register"):
-        oracle_pattern(bare, OracleSpec(target_return=1))
+        oracle_pattern(bare, 1)
 
 
 def test_oracle_flips_exactly_the_marked_states(bundled):
     prepared = fixed_start(bundled, 0)
-    oracle = OracleSpec(target_return=8)
-    pattern = dict(oracle_pattern(prepared, oracle))
+    target = 8
+    pattern = dict(oracle_pattern(prepared, target))
     plain = prepared.prepare_state("sparse")
-    flipped = prepared.prepare_state("sparse").apply_circuit(build_oracle(prepared, oracle))
+    flipped = prepared.prepare_state("sparse").apply_circuit(build_oracle(prepared, target))
     before = dict(plain.nonzero_items())
     after = dict(flipped.nonzero_items())
     assert set(before) == set(after)
@@ -81,7 +69,7 @@ def test_oracle_with_unreachable_target_changes_nothing(bundled):
     prepared = fixed_start(bundled, 0)
     plain = prepared.prepare_state("sparse")
     hit = prepared.prepare_state("sparse").apply_circuit(
-        build_oracle(prepared, OracleSpec(target_return=11))
+        build_oracle(prepared, 11)
     )
     assert plain.nonzero_items() == hit.nonzero_items()
 
@@ -113,23 +101,23 @@ def test_diffuser_negates_the_orthogonal_complement():
 
 def test_amplification_law_holds_for_both_scenarios(bundled):
     cases = [
-        (fixed_start(bundled, 0), OracleSpec(target_return=8)),
-        (build_preparation(bundled, 3, initial="uniform"), OracleSpec(target_return=9)),
+        (fixed_start(bundled, 0), 8),
+        (build_preparation(bundled, 3, initial="uniform"), 9),
     ]
-    for prepared, oracle in cases:
+    for prepared, target in cases:
         for k in range(4):
-            report = grover_search(prepared, oracle, iterations=k)
+            report = grover_search(prepared, target, iterations=k)
             assert report.iterations == k
             assert report.probability_after == pytest.approx(
                 law(report.probability_before, k), abs=1e-9
             )
-        single = grover_search(prepared, oracle, iterations=1)
+        single = grover_search(prepared, target, iterations=1)
         assert single.probability_before < 0.5
         assert single.probability_after > single.probability_before
 
 
 def test_marked_sets_match_the_scenarios(bundled):
-    one = grover_search(fixed_start(bundled, 0), OracleSpec(target_return=8), iterations=1)
+    one = grover_search(fixed_start(bundled, 0), 8, iterations=1)
     assert {m.bitstring for m in one.marked} == {
         "1000111111111111101010000",
         "1000111101111111101010000",
@@ -137,7 +125,7 @@ def test_marked_sets_match_the_scenarios(bundled):
     assert one.probability_before == pytest.approx(0.0375, abs=1e-9)
     two = grover_search(
         build_preparation(bundled, 3, initial="uniform"),
-        OracleSpec(target_return=9),
+        9,
         iterations=1,
     )
     assert len(two.marked) == 16
@@ -146,7 +134,7 @@ def test_marked_sets_match_the_scenarios(bundled):
 
 
 def test_amplification_preserves_relative_order(bundled):
-    report = grover_search(fixed_start(bundled, 0), OracleSpec(target_return=8), iterations=1)
+    report = grover_search(fixed_start(bundled, 0), 8, iterations=1)
     gains = [m.probability_after / m.probability_before for m in report.marked]
     assert max(gains) - min(gains) < 1e-9
     before = {m.bitstring: m.probability_before for m in report.marked}
@@ -168,7 +156,7 @@ def test_iterations_hint_values():
 
 
 def test_unreachable_target_reports_empty(bundled):
-    report = grover_search(fixed_start(bundled, 0), OracleSpec(target_return=11))
+    report = grover_search(fixed_start(bundled, 0), 11)
     assert report.iterations == 0
     assert report.probability_before == 0.0
     assert report.probability_after == 0.0
@@ -176,45 +164,51 @@ def test_unreachable_target_reports_empty(bundled):
 
 
 def test_auto_iterations_use_the_hint(bundled):
-    report = grover_search(fixed_start(bundled, 0), OracleSpec(target_return=8))
+    report = grover_search(fixed_start(bundled, 0), 8)
     assert report.iterations == 4
     assert report.probability_after == pytest.approx(law(0.0375, 4), abs=1e-9)
 
 
 def test_sampling_is_reproducible_and_gated(bundled):
     prepared = fixed_start(bundled, 0)
-    oracle = OracleSpec(target_return=8)
-    a = grover_search(prepared, oracle, iterations=1, shots=500, seed=3)
-    b = grover_search(prepared, oracle, iterations=1, shots=500, seed=3)
+    target = 8
+    a = grover_search(prepared, target, iterations=1, shots=500, seed=3)
+    b = grover_search(prepared, target, iterations=1, shots=500, seed=3)
     assert a == b
     assert sum(a.counts.values()) == 500
     assert all(m.count is not None for m in a.marked)
     with pytest.raises(ValueError, match="seed"):
-        grover_search(prepared, oracle, iterations=1, shots=10)
+        grover_search(prepared, target, iterations=1, shots=10)
     with pytest.raises(ValueError):
-        grover_search(prepared, oracle, iterations=-1)
+        grover_search(prepared, target, iterations=-1)
     with pytest.raises(ValueError):
-        grover_search(prepared, oracle, shots=-5)
+        grover_search(prepared, target, shots=-5)
 
 
 def test_backends_agree_on_search(bundled):
     # two steps keep the dense register small; the 25-qubit dense budget run
     # lives in the acceptance suite
     prepared = build_preparation(bundled, 2, initial=0)
-    oracle = OracleSpec(target_return=5)
-    sparse = grover_search(prepared, oracle, backend="sparse", iterations=1)
-    dense = grover_search(prepared, oracle, backend="dense", iterations=1)
+    target = 5
+    sparse = grover_search(prepared, target, backend="sparse", iterations=1)
+    dense = grover_search(prepared, target, backend="dense", iterations=1)
     assert dense.probability_after == pytest.approx(sparse.probability_after, abs=1e-12)
     for ms, md in zip(sparse.marked, dense.marked):
         assert ms.bitstring == md.bitstring
         assert md.probability_after == pytest.approx(ms.probability_after, abs=1e-12)
 
 
-def test_constraint_only_oracle(bundled):
-    prepared = build_preparation(bundled, 3, initial="uniform")
-    constrained = OracleSpec(constraints=tuple(("next", t, 3) for t in range(3)))
-    by_constraint = grover_search(prepared, constrained, iterations=1)
-    by_return = grover_search(prepared, OracleSpec(target_return=9), iterations=1)
-    assert {m.bitstring for m in by_constraint.marked} == {
-        m.bitstring for m in by_return.marked
-    }
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)  # the first python block
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(tour, "README.md", "exec"), {})
+    rows = [line.split() for line in printed.getvalue().splitlines()]
+    assert [bits for bits, *_ in rows] == ["1000111101111111101010000", "1000111111111111101010000"]
+    before = [float(row[1]) for row in rows]
+    after = [float(row[2]) for row in rows]
+    assert before == pytest.approx([0.0125, 0.025], abs=1e-12)
+    assert sum(after) == pytest.approx(law(0.0375, 1), abs=1e-9)
+    assert sum(int(row[3]) for row in rows) <= 1000

@@ -488,6 +488,19 @@ def test_dense_capacity_is_enforced():
     assert prepare_zero(DENSE_QUBIT_LIMIT + 1, "sparse").num_qubits == 27
 
 
+@pytest.mark.parametrize("num_qubits, figure", [
+    (27, "2048 MiB of amplitudes, limit is 26 qubits (1 GiB); use the sparse backend"),
+    (200, "a 56-digit integer MiB of amplitudes"),
+    (15000, "a 4511-digit integer MiB of amplitudes"),
+], ids=["27q", "200q", "15000q"])
+def test_dense_capacity_message_is_one_short_line(num_qubits, figure):
+    with pytest.raises(ValueError) as refused:
+        check_width(num_qubits, "dense")
+    message = str(refused.value)
+    assert message.startswith(f"dense backend capacity exceeded: {num_qubits} qubits needs {figure}")
+    assert "\n" not in message and len(message) < 160
+
+
 def test_sparse_capacity_is_enforced():
     with pytest.raises(ValueError, match="sparse backend capacity exceeded: 64 qubits, limit is 63"):
         prepare_zero(SPARSE_QUBIT_LIMIT + 1, "sparse")
