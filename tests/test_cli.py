@@ -492,6 +492,14 @@ def test_a_refused_allocation_exits_1_in_one_line(argv):
     assert result.stderr.count("\n") == 1  # one message, no traceback
 
 
+def test_a_memory_error_without_a_message_is_one_line(capsys, monkeypatch):
+    def enumerate_trajectories(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qmdp.cli.enumerate_trajectories", enumerate_trajectories)
+    assert run(capsys, "enumerate") == (1, "", "error: out of memory\n")
+
+
 def test_enumerate_expands_a_deep_horizon(capsys, tmp_path):
     path = tmp_path / "loop.json"
     path.write_text(save(MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (1,), 0)), encoding="utf-8")
