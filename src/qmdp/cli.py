@@ -9,11 +9,11 @@ greedy policy with rollout summaries.
 Artifacts go to ``--out`` when given (sibling files derive from its stem),
 otherwise to stdout. ``simulate`` and ``enumerate`` write their trajectory
 tables, CSV or JSON, through one renderer, ``_trajectory_text``, which
-formats the table's columns whole rather than one record at a time. Identical
+formats the table's columns whole; tables arrive in ascending bit string
+order, and it alone lists rows by :func:`probability_order`. Identical
 flags and seed give byte-identical artifacts: every random draw is seeded,
 and all float text uses repr round-tripping. ``--start`` is resolved once,
-when the model is loaded, so every library call below reads the start from
-the model.
+when the model is loaded, so every library call reads it from the model.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
-from .layout import RegisterLayout, decode_trajectory, probability_order
+from .layout import RegisterLayout, decode_trajectory
 from .mdp import _echo, bundled_mdp, load, resolve_start
 from .prepare import build_preparation, simulate_distribution
 from .search import grover_search
@@ -131,16 +131,27 @@ def _sibling_path(out: str, suffix: str, extension: str) -> str:
     return f"{os.path.splitext(out)[0]}_{suffix}{extension}"
 
 
+def probability_order(probability: np.ndarray) -> np.ndarray:
+    """Row order of every trajectory listing, given rows in ascending bit
+    string order: descending probability, rounded to 12 places so float dust
+    cannot reorder ties, then ascending bit string, which the stable sort
+    keeps. The rounding is Python's ``round`` per entry: ``np.round`` differs
+    from it on a few values in a million."""
+    rounded = np.array([round(p, 12) for p in probability.tolist()])
+    return np.argsort(-rounded, kind="stable")
+
+
 def _trajectory_text(table, counts, fmt: str) -> str:
-    """The simulate and enumerate table: one row per table row, in the
-    table's order; ``counts`` fills the count column (empty or null when
-    None). Each column is formatted whole: probabilities by ``repr``, step
-    values through one string per distinct value, then one join per row."""
-    bits = table.bitstrings().astype(str).tolist()
-    values = table.registers[:, :-1]  # the step registers
+    """The simulate and enumerate table, its rows in :func:`probability_order`;
+    ``counts`` fills the count column (empty or null when None). Each column
+    is gathered into that order and formatted whole: probabilities by ``repr``,
+    step values through one string per distinct value, then one join per row."""
+    order = probability_order(table.probability)  # columns gather through it as temporaries, gone before the join
+    bits = table.bitstrings()[order].astype(str).tolist()
+    values = table.registers[:, :-1]  # the step registers, a view
     if fmt == "json":
-        rows = zip(bits, table.total_return.tolist(), table.probability.tolist(),
-                   values.reshape(len(table), table.layout.steps, -1).tolist())
+        rows = zip(bits, table.total_return[order].tolist(), table.probability[order].tolist(),
+                   values[order].reshape(len(table), table.layout.steps, -1).tolist())
         doc = [{
             "bitstring": b,
             "return": ret,
@@ -150,20 +161,21 @@ def _trajectory_text(table, counts, fmt: str) -> str:
         } for b, ret, prob, path in rows]
         return json.dumps(doc, indent=2) + "\n"
     distinct = np.unique(values)  # searchsorted below: return_inverse's index arrays cost 2.5x the memory
-    cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[np.searchsorted(distinct, values)]
+    cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[np.searchsorted(distinct, values[order])]
     count_text = [""] * len(bits) if counts is None else [str(counts.get(b, 0)) for b in bits]
     lines = ["bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(table.layout.steps))]
-    lines += map(",".join, zip(bits, map(str, table.total_return.tolist()), map(repr, table.probability.tolist()),
-                               count_text, *cells.T))
-    return "\n".join(lines) + "\n"
+    lines += map(",".join, zip(bits, map(str, table.total_return[order].tolist()),
+                               map(repr, table.probability[order].tolist()), count_text, *cells.T))
+    lines.append("")  # the final newline, without a second copy of the joined text
+    return "\n".join(lines)
 
 
-def _transition_table_text(records, fmt: str) -> str:
-    # One-step records: P(next | state, action) is a record's probability over
-    # its (state, action) mass, summed in ascending bit string (basis index)
-    # order, the fixed reduction order of the simulator.
+def _transition_table_text(table, fmt: str) -> str:
+    # One-step rows: P(next | state, action) is a row's probability over its
+    # (state, action) mass, summed in the table's ascending bit string (basis
+    # index) order, the fixed reduction order of the simulator.
     mass, joint = {}, {}
-    for record in sorted(records, key=lambda r: r.bitstring):
+    for record in table:
         ((s, a, nxt, _),) = record.steps
         mass[s, a] = mass.get((s, a), 0.0) + record.probability
         joint[s, a, nxt] = record.probability
@@ -200,7 +212,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_enumerate(args) -> int:
     spec = _load_spec(args.mdp, args.start)
     table = enumerate_trajectories(spec, args.steps, None, include_return=args.steps > 1)
-    table = table.take(probability_order(table.probability))
     _write_artifact(_trajectory_text(table, None, args.format), args.out)
     return 0
 

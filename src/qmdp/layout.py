@@ -12,12 +12,11 @@ register as a bit field, its lowest qubit and its width. The accessors, the
 codec and the trajectory table all read that table, by shift and mask.
 Trajectory listings are one :class:`TrajectoryTable`: a probability column
 and a column per register, from which the return column and the printed bit
-strings are derived. Readout and the enumerator both return one; its rows
-iterate as :class:`TrajectoryRecord`.
+strings are derived. Readout and the enumerator both return one, its rows in
+ascending bit string order; its rows iterate as :class:`TrajectoryRecord`.
 :func:`decode_index` and :func:`decode_trajectory` decode one basis index or
 printed string. The module also owns :func:`field_value`,
-:func:`value_pattern`, :func:`pattern_mask` and :func:`probability_order`,
-the order of trajectory listings.
+:func:`value_pattern` and :func:`pattern_mask`.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ class TrajectoryTable:
     array) where a return may pass 63 bits. The last column is the return
     register, 0 in a layout without one. Each row holds its basis index
     field by field, never as one integer, so layouts wider than 63 qubits
-    fit.
+    fit. Rows ascend by basis index, which is ascending bit string order.
 
     Iterating yields one :class:`TrajectoryRecord` per row, with Python ints
     and floats, in row order.
@@ -155,10 +154,6 @@ class TrajectoryTable:
                    self.probability.tolist())
         for values, total, bits, prob in rows:
             yield TrajectoryRecord(tuple(zip(*[iter(values)] * len(STEP_ROLES))), total, bits, prob)
-
-    def take(self, rows: np.ndarray) -> "TrajectoryTable":
-        """The table with its rows in the order of the index array ``rows``."""
-        return TrajectoryTable(self.layout, self.probability[rows], self.registers[rows])
 
     @cached_property
     def total_return(self) -> np.ndarray:
@@ -179,16 +174,6 @@ class TrajectoryTable:
             bits[:, offset:offset + width] = values[:, None] >> np.arange(width) & 1
         text = bits[:, ::-1] + ord("0")
         return text.view(f"S{layout.num_qubits}").ravel()
-
-
-def probability_order(probability: np.ndarray) -> np.ndarray:
-    """Row order of every trajectory listing, given rows in ascending bit
-    string order: descending probability, rounded to 12 places so float dust
-    cannot reorder ties, then ascending bit string, which the stable sort
-    keeps. The rounding is Python's ``round`` per entry: ``np.round`` differs
-    from it on a few values in a million."""
-    rounded = np.array([round(p, 12) for p in probability.tolist()])
-    return np.argsort(-rounded, kind="stable")
 
 
 def field_value(index, qubits: list[int]):

@@ -8,7 +8,8 @@ reversible accumulation of all per-step rewards into the total register.
 Running it on a fresh zero state yields a superposition whose basis-state
 probabilities match the classical trajectory distribution exactly; readout
 turns the state's live index and amplitude arrays into one trajectory
-table, its register columns cut from the indices by shift and mask.
+table, its register columns cut from the indices by shift and mask and its
+rows in ascending bit string order, as the enumerator returns them.
 
 Encoding choices that matter downstream:
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import RegisterLayout, TrajectoryTable, probability_order, value_pattern
+from .layout import RegisterLayout, TrajectoryTable, value_pattern
 from .layout import decode_trajectory  # noqa: F401  perfbench/tracer.py wraps prepare.decode_trajectory
 from .mdp import MdpSpec, resolve_start, validated
 from .sim import Circuit, prepare_zero
@@ -224,11 +225,9 @@ def simulate_distribution(prepared: PreparedModel, backend: str = "sparse") -> T
     """Run the circuit and read every live basis index into a trajectory table.
 
     Indices and probabilities come from the state's ``live_probabilities()``,
-    register columns are cut from the indices by shift and mask, and rows
-    follow :func:`~qmdp.layout.probability_order`.
+    and register columns are cut from the indices by shift and mask. Rows
+    keep the indices' ascending order, the enumerator's row order.
     """
     idx, probability = prepared.prepare_state(backend).live_probabilities()
-    order = probability_order(probability)
-    idx = idx[order]
     registers = np.stack([(idx >> offset) & ((1 << width) - 1) for offset, width in prepared.layout.fields], axis=1)
-    return TrajectoryTable(prepared.layout, probability[order], registers)
+    return TrajectoryTable(prepared.layout, probability, registers)

@@ -15,15 +15,18 @@ import math
 from dataclasses import dataclass
 
 from .layout import value_pattern
+from .mdp import _echo
 from .prepare import PreparedModel
-from .sim import Circuit
+from .sim import ROUND_LIMIT, Circuit
 
 
 def oracle_pattern(prepared: PreparedModel, target_return: int):
     """The (qubit, bit) pattern the oracle's phase flip matches: the total
-    register holding ``target_return``."""
+    register holding ``target_return``. A model whose rewards are all 0 has
+    a zero-width total register, so its one return, 0, matches every basis
+    state."""
     layout = prepared.layout
-    if not layout.return_bits:
+    if not layout.return_bits and prepared.spec.max_reward > 0:
         raise ValueError("layout has no total register to constrain")
     return value_pattern(layout.return_qubits(), target_return)
 
@@ -92,7 +95,9 @@ def grover_search(
 
     ``iterations`` of None means the hint for the measured marked mass.
     When that mass is zero there is nothing to rotate toward: the state is
-    left alone and the report says zero rounds. ``shots`` above zero draws
+    left alone and the report says zero rounds. A given count outside
+    [0, ``ROUND_LIMIT``] is refused before the state is prepared, a hinted
+    one above it before the first round. ``shots`` above zero draws
     seeded counts from the final state; the seed is then mandatory because
     every run must be reproducible.
     """
@@ -100,6 +105,8 @@ def grover_search(
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots and seed is None:
         raise ValueError("sampling without a seed is not reproducible; pass one")
+    if iterations is not None and not 0 <= iterations <= ROUND_LIMIT:
+        raise ValueError(f"iterations must be in [0, {ROUND_LIMIT}], got {_echo(iterations)}")
     pattern = oracle_pattern(prepared, target_return)
     state = prepared.prepare_state(backend)
     before = state.pattern_items(pattern)  # ascending index
@@ -107,8 +114,8 @@ def grover_search(
     if iterations is None:
         # a settled mass (0 or 1) has nothing to rotate toward or away from
         rounds = iterations_hint(p0) if 0.0 < p0 < 1.0 else 0
-    elif iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+        if rounds > ROUND_LIMIT:
+            raise ValueError(f"marked mass {p0!r} hints {rounds} rounds, above the limit of {ROUND_LIMIT}")
     else:
         rounds = iterations
     if rounds:

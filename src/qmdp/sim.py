@@ -40,6 +40,7 @@ _KINDS = (H, X, RY, FLIP)
 
 DENSE_QUBIT_LIMIT = 26  # 2**26 amplitudes, 1 GiB at 16 bytes each
 SPARSE_QUBIT_LIMIT = 63  # basis indices are non-negative int64
+ROUND_LIMIT = 1000  # Grover rounds per search, given or hinted: hints reach it near marked mass 6e-7
 PRUNE_TOL = 1e-14  # sparse entries below this magnitude are dropped
 CHUNK_QUBITS = 16  # dense gates work on 2**16 amplitudes (1 MiB) at a time
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

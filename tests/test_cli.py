@@ -22,9 +22,8 @@ from hypothesis import strategies as st
 
 import qmdp
 from qmdp import MdpSpec, Transition, build_preparation, bundled_mdp, save, simulate_distribution
-from qmdp.cli import CliError, _counts_csv, _trajectory_text, main
+from qmdp.cli import CliError, _counts_csv, _trajectory_text, main, probability_order
 from qmdp.classical import enumerate_trajectories
-from qmdp.layout import probability_order
 
 from conftest import random_mdp
 
@@ -287,6 +286,26 @@ def test_search_unreachable_target(capsys):
     assert doc["marked"] == []
     assert doc["p0"] == 0.0
     assert doc["iterations"] == 0
+
+
+def test_search_on_a_zero_reward_model(capsys, tmp_path):
+    # Every reward is 0, so the return register has width 0 and return 0
+    # marks every trajectory.
+    spec = MdpSpec(2, 1, (Transition(0, 0, 0, 0.5), Transition(0, 0, 1, 0.5), Transition(1, 0, 1, 1.0)), (0, 0))
+    path = tmp_path / "zero.json"
+    path.write_text(save(spec), encoding="utf-8")
+    catalog = sorted(enumerate_trajectories(spec, 2, "uniform").bitstrings().astype(str).tolist())
+    assert len(catalog) == 4
+    for target in ("0", "max"):
+        code, out, err = run(capsys, "search", "--mdp", str(path), "--steps", "2", "--start", "uniform",
+                             "--target-return", target)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [m["bitstring"] for m in doc["marked"]] == catalog
+        assert doc["p0"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["iterations"] == 1  # p0 sums to just below 1: the hint's floor
+    code, out, err = run(capsys, "search", "--mdp", str(path), "--steps", "2", "--target-return", "1")
+    assert (code, out, err) == (1, "", "error: value 1 does not fit a 0-bit register\n")
 
 
 def test_search_target_max_resolves_to_best_return(capsys):
@@ -552,11 +571,12 @@ HUGE = "9" * 5001  # past Python's 4300-digit limit for int(text)
     (("search", "--target-return", str(-10**100)), "value a negative 101-digit integer does not fit"),
     (("search", "--target-return", "8", "--iterations", HUGE), "or 'auto', got a 5001-character text"),
     (("search", "--target-return", "8", "--iterations", str(-10**100)), ">= 0, got a negative 101-digit integer"),
+    (("search", "--target-return", "8", "--iterations", str(10**100)), "[0, 1000], got a 101-digit integer"),
     (("simulate", "--start", "fixed:" + HUGE), "bad --start state a 5001-character text"),
     (("simulate", "--start", "fixed:" + str(10**100)), "start state a 101-digit integer outside"),
     (("enumerate", "--start", "x" * 5001), "or 'fixed:N', got a 5001-character text"),
 ], ids=["target-text", "target-int", "target-negative", "iterations-text", "iterations-negative",
-        "start-text", "start-int", "start-word"])
+        "iterations-int", "start-text", "start-int", "start-word"])
 def test_a_huge_flag_value_is_echoed_by_its_size(capsys, argv, echo):
     code, out, err = run(capsys, *argv, "--steps", "2")
     assert code == 1
@@ -657,6 +677,12 @@ def test_simulate_and_enumerate_agree_on_random_models(
         assert abs(sim_prob - prob) < 1e-9
 
 
+def listed(table):
+    """The table's records in the listing order the writer applies."""
+    records = list(table)
+    return [records[i] for i in probability_order(table.probability).tolist()]
+
+
 def record_writer(records, steps, counts, fmt):
     """The per-record table writer the column writer replaced, kept as its
     byte-level reference: one f-string line or one dict per record."""
@@ -693,12 +719,11 @@ def test_column_writer_equals_the_record_writer(seed, num_states, num_actions, m
     rng = np.random.default_rng(seed)
     spec = random_mdp(rng, num_states, num_actions, max_reward)
     table = enumerate_trajectories(spec, steps, None, include_return=steps > 1)
-    table = table.take(probability_order(table.probability))
     counts = None
     if sampled:  # some rows drawn, some not
         picks = rng.choice(table.bitstrings().astype(str), size=min(len(table), 5), replace=False)
         counts = {bits: int(rng.integers(1, 100)) for bits in picks.tolist()}
-    assert _trajectory_text(table, counts, fmt) == record_writer(list(table), steps, counts, fmt)
+    assert _trajectory_text(table, counts, fmt) == record_writer(listed(table), steps, counts, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -706,7 +731,7 @@ def test_column_writer_equals_the_record_writer_on_a_sampled_simulation(fmt):
     prepared = build_preparation(bundled_mdp(), 3, initial="uniform")
     table = simulate_distribution(prepared)
     counts = prepared.prepare_state().sample(4096, 7)
-    assert _trajectory_text(table, counts, fmt) == record_writer(list(table), 3, counts, fmt)
+    assert _trajectory_text(table, counts, fmt) == record_writer(listed(table), 3, counts, fmt)
 
 
 def test_counts_outside_the_catalog_are_refused():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmdp.classical import enumerate_trajectories, expected_return, greedy_rollouts
+from qmdp.cli import probability_order
 from qmdp.layout import RegisterLayout
 from qmdp.mdp import MdpSpec, Transition, resolve_start
 from qmdp.prepare import (
@@ -30,8 +31,10 @@ def trajectory_map(records):
 
 def assert_matches_enumerator(spec, steps, initial, backend="sparse", include_return=True):
     prepared = build_preparation(spec, steps, initial=initial, include_return=include_return)
-    got = trajectory_map(simulate_distribution(prepared, backend))
-    want = trajectory_map(enumerate_trajectories(spec, steps, initial, include_return=include_return))
+    simulated = simulate_distribution(prepared, backend)
+    enumerated = enumerate_trajectories(spec, steps, initial, include_return=include_return)
+    assert np.array_equal(simulated.registers, enumerated.registers), "rows differ from the enumerator's"
+    got, want = trajectory_map(simulated), trajectory_map(enumerated)
     assert set(got) == set(want), "support differs from the enumerator"
     for bits, record in got.items():
         assert (record.steps, record.total_return) == (want[bits].steps, want[bits].total_return), bits
@@ -295,9 +298,12 @@ def test_probability_column_is_abs_squared_per_entry(bundled, monkeypatch):
 
 
 def test_distribution_ordering(bundled):
-    records = simulate_distribution(build_preparation(bundled, 1, initial="uniform"))
-    keys = [(-round(r.probability, 12), r.bitstring) for r in records]
-    assert keys == sorted(keys)
+    # The table ascends by bit string; only the writer lists by probability.
+    table = simulate_distribution(build_preparation(bundled, 1, initial="uniform"))
+    bits = table.bitstrings().astype(str).tolist()
+    assert bits == sorted(bits)
+    keys = [(-round(p, 12), b) for p, b in zip(table.probability.tolist(), bits)]
+    assert [keys[i] for i in probability_order(table.probability).tolist()] == sorted(keys)
 
 
 def test_rejections(bundled):

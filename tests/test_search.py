@@ -1,15 +1,24 @@
-"""Oracle, diffuser, and the amplification law on both bundled scenarios."""
+"""Oracle, diffuser, and the amplification law on both bundled scenarios
+and on random models."""
 
 import contextlib
 import io
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qmdp.prepare import build_preparation
+from qmdp import search
+from qmdp.classical import enumerate_trajectories
+from qmdp.layout import RegisterLayout
+from qmdp.mdp import MdpSpec, Transition
+from qmdp.prepare import PreparedModel, build_preparation
 from qmdp.search import (
     build_diffuser,
     build_oracle,
@@ -17,7 +26,9 @@ from qmdp.search import (
     iterations_hint,
     oracle_pattern,
 )
-from qmdp.sim import Circuit, prepare_zero
+from qmdp.sim import ROUND_LIMIT, Circuit, prepare_zero
+
+from conftest import random_mdp
 
 
 def fixed_start(bundled, state):
@@ -183,6 +194,86 @@ def test_sampling_is_reproducible_and_gated(bundled):
         grover_search(prepared, target, iterations=-1)
     with pytest.raises(ValueError):
         grover_search(prepared, target, shots=-5)
+
+
+def test_round_counts_above_the_limit_are_refused_before_any_round(bundled, monkeypatch):
+    def build_diffuser(prepared):
+        raise AssertionError("a Grover round was built")
+
+    def prepare_state(self, backend="sparse"):
+        raise AssertionError("the state was prepared")
+
+    monkeypatch.setattr(search, "build_diffuser", build_diffuser)
+    prepared = fixed_start(bundled, 0)
+    with pytest.raises(AssertionError, match="round was built"):  # the limit itself runs
+        grover_search(prepared, 8, iterations=ROUND_LIMIT)
+    with monkeypatch.context() as patch:
+        patch.setattr(PreparedModel, "prepare_state", prepare_state)
+        with pytest.raises(ValueError, match=r"^iterations must be in \[0, 1000\], got 1001$"):
+            grover_search(prepared, 8, iterations=ROUND_LIMIT + 1)
+    # The only return-2 path has mass 1e-12, so the hint is 785 398 rounds.
+    rare = MdpSpec(2, 1, (Transition(0, 0, 0, 1 - 1e-12), Transition(0, 0, 1, 1e-12), Transition(1, 0, 1, 1.0)),
+                   (0, 1), initial=0)
+    with pytest.raises(ValueError, match="^marked mass 1e-12 hints 785398 rounds, above the limit of 1000$"):
+        grover_search(build_preparation(rare, 2), 2)
+
+
+def near_certain(spec, rng):
+    """The model with every row of two or more successors cut to two: one
+    branch at 10**-u for u in 1-15, its sibling at the rest."""
+    rows = {}
+    for t in spec.transitions:
+        rows.setdefault((t.state, t.action), []).append(t)
+    transitions = []
+    for (s, a), row in rows.items():
+        if len(row) == 1:
+            transitions += row
+            continue
+        tiny, sure = rng.choice(len(row), size=2, replace=False)
+        eps = 10.0 ** -int(rng.integers(1, 16))
+        transitions += [Transition(s, a, row[tiny].next_state, eps), Transition(s, a, row[sure].next_state, 1 - eps)]
+    return replace(spec, transitions=tuple(transitions))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([1, 2, 4, 8]),
+    num_actions=st.sampled_from([1, 2]),
+    max_reward=st.integers(0, 7),
+    steps=st.integers(1, 4),
+    start=st.sampled_from([None, "uniform", 0]),
+    rounds=st.integers(0, 5),
+    extreme=st.booleans(),
+    data=st.data(),
+)
+def test_amplification_matches_the_enumerator_on_random_models(seed, num_states, num_actions, max_reward, steps,
+                                                               start, rounds, extreme, data):
+    # The model's own start is its last state, so the default start differs
+    # from "uniform" and from state 0.
+    rng = np.random.default_rng(seed)
+    spec = random_mdp(rng, num_states, num_actions, max_reward, initial=num_states - 1)
+    if extreme:
+        spec = near_certain(spec, rng)
+    catalog = enumerate_trajectories(spec, steps, start)
+    assume(len(catalog) <= 4096)  # keeps an example to a fraction of a second
+    target = data.draw(st.sampled_from(sorted(set(catalog.total_return.tolist()))))
+    prepared = build_preparation(spec, steps, initial=start)
+    report = grover_search(prepared, target, iterations=rounds)
+    want = {bits: p for bits, p, total in zip(catalog.bitstrings().astype(str).tolist(), catalog.probability.tolist(),
+                                              catalog.total_return.tolist()) if total == target}
+    got = {m.bitstring: m for m in report.marked}
+    assert set(got) <= set(want)
+    assert all(p < 1e-28 for bits, p in want.items() if bits not in got)  # below the sparse pruning cut
+    p0 = report.probability_before
+    assert p0 == pytest.approx(sum(want.values()), abs=1e-9)
+    if 0.0 < p0 < 1.0:
+        assert report.probability_after == pytest.approx(law(p0, rounds), abs=1e-9)
+    for m in report.marked:
+        assert m.probability_after == pytest.approx(report.probability_after / p0 * m.probability_before, abs=1e-12)
+    if prepared.layout.num_qubits <= 20:
+        dense = grover_search(prepared, target, backend="dense", iterations=rounds)
+        assert dense.probability_after == pytest.approx(report.probability_after, abs=1e-12)
 
 
 def test_backends_agree_on_search(bundled):
