@@ -127,6 +127,12 @@ def _write_artifact(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)`` and a final newline, joined once: adding
+    the newline to the dumped text would copy the whole document again."""
+    return "".join([*json.JSONEncoder(indent=2).iterencode(doc), "\n"])
+
+
 def _sibling_path(out: str, suffix: str, extension: str) -> str:
     return f"{os.path.splitext(out)[0]}_{suffix}{extension}"
 
@@ -159,7 +165,7 @@ def _trajectory_text(table, counts, fmt: str) -> str:
             "count": None if counts is None else counts.get(b, 0),
             "steps": path,
         } for b, ret, prob, path in rows]
-        return json.dumps(doc, indent=2) + "\n"
+        return _json_text(doc)
     distinct = np.unique(values)  # searchsorted below: return_inverse's index arrays cost 2.5x the memory
     cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[np.searchsorted(distinct, values[order])]
     count_text = [""] * len(bits) if counts is None else [str(counts.get(b, 0)) for b in bits]
@@ -181,11 +187,11 @@ def _transition_table_text(table, fmt: str) -> str:
         joint[s, a, nxt] = record.probability
     rows = [(s, a, nxt, p / mass[s, a]) for (s, a, nxt), p in sorted(joint.items())]
     if fmt == "json":
-        doc = [{"state": s, "action": a, "next": n, "prob": p} for s, a, n, p in rows]
-        return json.dumps(doc, indent=2) + "\n"
+        return _json_text([{"state": s, "action": a, "next": n, "prob": p} for s, a, n, p in rows])
     lines = ["state,action,next,prob"]
     lines.extend(f"{s},{a},{n},{p!r}" for s, a, n, p in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def _cmd_simulate(args) -> int:
@@ -259,7 +265,7 @@ def _report_json(prepared, report) -> str:
         "shots": report.shots,
         "seed": report.seed,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc)
 
 
 def _counts_csv(spec, steps, counts) -> str:
@@ -272,7 +278,8 @@ def _counts_csv(spec, steps, counts) -> str:
     lines = [TRAJECTORY_NUMBER_NOTE, "trajectory,count"]
     numbered = sorted(zip((rank + 1).tolist(), counts.values()))
     lines.extend(f"{number},{count}" for number, count in numbered)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def _cmd_search(args) -> int:
@@ -329,7 +336,7 @@ def _cmd_qlearn(args) -> int:
             for record in rollouts
         ],
     }
-    _write_artifact(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_artifact(_json_text(doc), args.out)
     print(policy_line, file=sys.stderr)
     return 0
 

@@ -4,14 +4,16 @@ Gates are simulator primitives: Hadamard, X, Ry and a pattern phase flip,
 each carrying an arbitrary multi-control pattern of (qubit, required bit)
 pairs. Controlled gates act natively on the state, never decomposed into
 smaller gates. Qubit 0 is the least significant bit of the basis index;
-printed basis strings put the most significant qubit first.
+printed basis strings put the most significant qubit first. Every gate kind
+is a real matrix, so a state starting at |0...0> stays real: both backends
+store amplitudes as float64 and refuse a complex input.
 
 The dense backend holds all 2**n amplitudes in one array and runs each gate
 through it in place, chunk by chunk: ``CHUNK_QUBITS`` sets the chunk at 2**16
-amplitudes (1 MiB), and a gate's scratch buffers are at most two chunks. So
+amplitudes (512 KiB), and a gate's scratch buffers are at most two chunks. So
 dense peak memory is the array plus a few MiB, and ``DENSE_QUBIT_LIMIT``
 bounds the peak, not just the amplitudes. The sparse backend holds only the
-live amplitudes, an int64 basis-index array beside a complex128 amplitude
+live amplitudes, an int64 basis-index array beside a float64 amplitude
 array in no order, which caps its width at 63 qubits.
 
 Determinism contract: readouts start from ``nonzero()``, the live entries by
@@ -38,11 +40,11 @@ RY = "ry"
 FLIP = "flip"
 _KINDS = (H, X, RY, FLIP)
 
-DENSE_QUBIT_LIMIT = 26  # 2**26 amplitudes, 1 GiB at 16 bytes each
+DENSE_QUBIT_LIMIT = 26  # 2**26 amplitudes, 512 MiB at 8 bytes each
 SPARSE_QUBIT_LIMIT = 63  # basis indices are non-negative int64
 ROUND_LIMIT = 1000  # Grover rounds per search, given or hinted: hints reach it near marked mass 6e-7
 PRUNE_TOL = 1e-14  # sparse entries below this magnitude are dropped
-CHUNK_QUBITS = 16  # dense gates work on 2**16 amplitudes (1 MiB) at a time
+CHUNK_QUBITS = 16  # dense gates work on 2**16 amplitudes (512 KiB) at a time
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 Controls = tuple[tuple[int, int], ...]
@@ -161,16 +163,26 @@ def check_width(num_qubits: int, backend: str) -> None:
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
     if backend == "dense" and num_qubits > DENSE_QUBIT_LIMIT:
+        itemsize = np.dtype(np.float64).itemsize
         raise ValueError(
             f"dense backend capacity exceeded: {num_qubits} qubits needs "
-            f"{_echo((2**num_qubits * 16) >> 20)} MiB of amplitudes, limit is "
-            f"{DENSE_QUBIT_LIMIT} qubits (1 GiB); use the sparse backend"
+            f"{_echo((2**num_qubits * itemsize) >> 20)} MiB of amplitudes, limit is "
+            f"{DENSE_QUBIT_LIMIT} qubits ({(2**DENSE_QUBIT_LIMIT * itemsize) >> 20} MiB); "
+            f"use the sparse backend"
         )
     if backend == "sparse" and num_qubits > SPARSE_QUBIT_LIMIT:
         raise ValueError(
             f"sparse backend capacity exceeded: {num_qubits} qubits, limit is "
             f"{SPARSE_QUBIT_LIMIT} (64-bit basis indices); use fewer steps or a smaller model"
         )
+
+
+def _real(amps) -> np.ndarray:
+    """``amps`` as a float64 array; a complex input is refused in one line."""
+    amps = np.asarray(amps)
+    if amps.dtype.kind == "c":
+        raise ValueError(f"amplitudes must be real, got {amps.dtype}: every gate is a real matrix")
+    return amps.astype(np.float64, copy=False)
 
 
 class _StateBase:
@@ -180,7 +192,7 @@ class _StateBase:
     num_qubits: int
 
     # subclasses provide apply(gate) and nonzero(): fresh ascending copies of
-    # the live (basis index, complex amplitude) arrays every readout starts from
+    # the live (basis index, float64 amplitude) arrays every readout starts from
 
     def apply_circuit(self, circuit: Circuit) -> "_StateBase":
         if circuit.num_qubits != self.num_qubits:
@@ -198,12 +210,12 @@ class _StateBase:
         """(ascending basis indices, probabilities) of the live entries: the one
         probability rule, equal to the per-entry ``abs(a) ** 2`` bit for bit."""
         idx, amps = self.nonzero()
-        return idx, np.float_power(np.hypot(amps.real, amps.imag), 2)
+        return idx, np.float_power(np.abs(amps), 2)
 
     def norm(self) -> float:
         return float(np.sum(self.live_probabilities()[1]))
 
-    def nonzero_items(self) -> list[tuple[int, complex]]:
+    def nonzero_items(self) -> list[tuple[int, float]]:
         """(basis index, amplitude) pairs, ascending index."""
         idx, amps = self.nonzero()
         return list(zip(idx.tolist(), amps.tolist()))
@@ -262,16 +274,14 @@ class _StateBase:
         return {self.bitstring(int(idx[p])): int(tally[p]) for p in np.flatnonzero(tally).tolist()}
 
     def dump(self) -> str:
-        """One line per nonzero amplitude: ``<bitstring> <re> <im>``."""
-        lines = [
-            f"{self.bitstring(i)} {a.real!r} {a.imag!r}"
-            for i, a in self.nonzero_items()
-        ]
+        """One line per nonzero amplitude: ``<bitstring> <re> <im>``, where the
+        imaginary part of a real state is always ``0.0``."""
+        lines = [f"{self.bitstring(i)} {a!r} 0.0" for i, a in self.nonzero_items()]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
 class DenseState(_StateBase):
-    """Contiguous array of 2**n complex amplitudes. Every gate kind walks it
+    """Contiguous float64 array of 2**n amplitudes. Every gate kind walks it
     in rows of ``2**CHUNK_QUBITS`` amplitudes: the controls on qubits above a
     row pick the rows, those inside a row index into it."""
 
@@ -281,9 +291,9 @@ class DenseState(_StateBase):
         check_width(num_qubits, self.backend)
         self.num_qubits = num_qubits
         if amps is None:
-            amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+            amps = np.zeros(1 << num_qubits, dtype=np.float64)
             amps[0] = 1.0
-        self._amps = amps
+        self._amps = _real(amps)
 
     def apply(self, gate: Gate) -> "DenseState":
         n = self.num_qubits
@@ -303,13 +313,16 @@ class DenseState(_StateBase):
                 mask |= 1 << (q - c)
                 want |= b << (q - c)
         if gate.kind == FLIP:
-            # Exact negation in place, signed zeros as in the sparse kernel;
-            # the Ellipsis keeps a view when every axis of a row is a control.
+            # Exact negation in place, signed zeros as in the sparse kernel:
+            # x(-1.0) is exact on a real value. Not np.negative: on numpy 2.4
+            # it writes wrong values in place on a float64 view with an
+            # 8-element stride (tests/test_sim.py). The Ellipsis keeps a view
+            # when every axis of a row is a control.
             sel = (*index, ...)
             for r in range(len(rows)):
                 if r & mask == want:
                     view = rows[r][sel]
-                    np.negative(view, out=view)
+                    np.multiply(view, -1.0, out=view)
             return self
         if gate.target < c:  # both halves of the pair lie in one row
             index[c - 1 - gate.target] = 0
@@ -354,7 +367,7 @@ class SparseState(_StateBase):
     """Live basis indices with their amplitudes; zero entries are absent.
 
     ``_idx`` holds the live basis indices as an ``int64`` array and ``_amps``
-    their ``complex128`` amplitudes, in no order: no gate sorts, because each
+    their ``float64`` amplitudes, in no order: no gate sorts, because each
     entry's arithmetic does not depend on its position; ``nonzero()`` orders
     them for readout. 64-bit indices cap the width at ``SPARSE_QUBIT_LIMIT``
     qubits. After every amplitude-mixing gate, entries with magnitude below
@@ -363,12 +376,12 @@ class SparseState(_StateBase):
 
     backend = "sparse"
 
-    def __init__(self, num_qubits: int, amps: dict[int, complex] | None = None):
+    def __init__(self, num_qubits: int, amps: dict[int, float] | None = None):
         check_width(num_qubits, self.backend)
         self.num_qubits = num_qubits
-        amps = {0: 1.0 + 0.0j} if amps is None else amps
+        amps = {0: 1.0} if amps is None else amps
         self._idx = np.array(list(amps), dtype=np.int64)
-        self._amps = np.array(list(amps.values()), dtype=np.complex128)
+        self._amps = _real(list(amps.values()))
 
     def apply(self, gate: Gate) -> "SparseState":
         n = self.num_qubits
@@ -396,8 +409,8 @@ class SparseState(_StateBase):
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
         keys = keys[first]
-        a0 = np.zeros(len(keys), dtype=np.complex128)
-        a1 = np.zeros(len(keys), dtype=np.complex128)
+        a0 = np.zeros(len(keys), dtype=np.float64)
+        a1 = np.zeros(len(keys), dtype=np.float64)
         a0[np.searchsorted(keys, keys0)] = amps[lower]  # an absent partner stays 0
         a1[np.searchsorted(keys, keys1)] = amps[upper]
         m00, m01, m10, m11 = _gate_matrix(gate)

@@ -221,10 +221,10 @@ def test_adder_sums_every_reward_combination(bundled):
                 for t, r in enumerate((r0, r1, r2)):
                     for j, q in enumerate(layout.reward_qubits(t)):
                         index |= ((r >> j) & 1) << q
-                state = SparseState(layout.num_qubits, {index: 1.0 + 0.0j})
+                state = SparseState(layout.num_qubits, {index: 1.0})
                 state.apply_circuit(circuit)
                 items = state.nonzero_items()
-                assert len(items) == 1 and items[0][1] == 1.0 + 0.0j
+                assert len(items) == 1 and items[0][1] == 1.0
                 out = items[0][0]
                 expected = index | ((r0 + r1 + r2) << layout.return_qubits()[0])
                 assert out == expected, (r0, r1, r2)
@@ -268,17 +268,16 @@ def test_zero_reward_model_compiles(bundled):
 
 
 def test_probability_column_is_abs_squared_per_entry(bundled, monkeypatch):
-    # np.float_power(np.hypot(re, im), 2) matches Python's abs(a) ** 2 bit for
-    # bit; np.abs(a) ** 2, hypot ** 2 and hypot * hypot each differ on some
-    # values. Every readout of the state reads that one rule.
+    # np.float_power(np.abs(a), 2) matches Python's abs(a) ** 2 bit for bit;
+    # a * a and np.abs(a) ** 2 each differ on some values. Every readout of
+    # the state reads that one rule.
     prepared = build_preparation(bundled, 2, initial="uniform")  # 17 qubits
     rng = np.random.default_rng(12)
     count = 100_000
     scale = 10.0 ** rng.uniform(-150, 150, size=count)
     re = rng.standard_normal(count) * scale
-    im = np.where(rng.random(count) < 0.25, 0.0, rng.standard_normal(count) * scale)  # a quarter real-only
     # entries in shuffled order, as the sparse kernel leaves them between gates
-    amps = dict(zip(rng.permutation(count).tolist(), (re + 1j * im).tolist()))
+    amps = dict(zip(rng.permutation(count).tolist(), re.tolist()))
     state = SparseState(prepared.layout.num_qubits, amps)
     monkeypatch.setattr(PreparedModel, "prepare_state", lambda self, backend="sparse": state)
     table = simulate_distribution(prepared)

@@ -35,38 +35,38 @@ from qmdp.sim import (
     prepare_zero,
 )
 
-I2 = np.eye(2, dtype=np.complex128)
+I2 = np.eye(2, dtype=np.float64)
 
 
 def one_qubit_matrix(gate):
     if gate.kind == "h":
-        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+        return np.array([[1, 1], [1, -1]], dtype=np.float64) / math.sqrt(2)
     if gate.kind == "x":
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
+        return np.array([[0, 1], [1, 0]], dtype=np.float64)
     c = math.cos(gate.theta / 2)
     s = math.sin(gate.theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[c, -s], [s, c]], dtype=np.float64)
 
 
 def full_matrix(gate, n):
     # qubit 0 is the basis LSB, so the kron chain runs from qubit n-1 down.
     cmap = dict(gate.controls)
     if gate.kind == "flip":
-        proj = np.eye(1, dtype=np.complex128)
+        proj = np.eye(1, dtype=np.float64)
         for q in range(n - 1, -1, -1):
             if q in cmap:
-                p = np.zeros((2, 2), dtype=np.complex128)
+                p = np.zeros((2, 2), dtype=np.float64)
                 p[cmap[q], cmap[q]] = 1
                 proj = np.kron(proj, p)
             else:
                 proj = np.kron(proj, I2)
-        return np.eye(2**n, dtype=np.complex128) - 2 * proj
+        return np.eye(2**n, dtype=np.float64) - 2 * proj
     m = one_qubit_matrix(gate)
-    hit = np.eye(1, dtype=np.complex128)
-    matched = np.eye(1, dtype=np.complex128)
+    hit = np.eye(1, dtype=np.float64)
+    matched = np.eye(1, dtype=np.float64)
     for q in range(n - 1, -1, -1):
         if q in cmap:
-            p = np.zeros((2, 2), dtype=np.complex128)
+            p = np.zeros((2, 2), dtype=np.float64)
             p[cmap[q], cmap[q]] = 1
             hit = np.kron(hit, p)
             matched = np.kron(matched, p)
@@ -76,11 +76,11 @@ def full_matrix(gate, n):
         else:
             hit = np.kron(hit, I2)
             matched = np.kron(matched, I2)
-    return hit + np.eye(2**n, dtype=np.complex128) - matched
+    return hit + np.eye(2**n, dtype=np.float64) - matched
 
 
 def random_vector(rng, n):
-    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    v = rng.normal(size=1 << n)
     return v / np.linalg.norm(v)
 
 
@@ -99,13 +99,13 @@ def random_gate(rng, n):
 
 
 def load_states(vec, n):
-    dense = DenseState(n, vec.astype(np.complex128).copy())
-    sparse = SparseState(n, {i: complex(a) for i, a in enumerate(vec) if a != 0})
+    dense = DenseState(n, vec.copy())
+    sparse = SparseState(n, {i: float(a) for i, a in enumerate(vec) if a != 0})
     return dense, sparse
 
 
 def as_vector(state, n):
-    v = np.zeros(1 << n, dtype=np.complex128)
+    v = np.zeros(1 << n, dtype=np.float64)
     for i, a in state.nonzero_items():
         v[i] = a
     return v
@@ -186,7 +186,7 @@ def test_sampling_is_seed_deterministic(seed, shots):
 def test_prepare_zero_starts_at_origin():
     for backend in ("dense", "sparse"):
         state = prepare_zero(3, backend)
-        assert state.nonzero_items() == [(0, 1 + 0j)]
+        assert state.nonzero_items() == [(0, 1.0)]
         assert state.probabilities() == {"000": 1.0}
 
 
@@ -282,7 +282,7 @@ def test_format_circuit_round_trips_key_fields():
 def test_sparse_prunes_cancelled_branches():
     state = prepare_zero(1, "sparse")
     state.apply(Gate("h", 0)).apply(Gate("h", 0))
-    assert state.nonzero_items() == [(0, pytest.approx(1 + 0j, abs=1e-12))]
+    assert state.nonzero_items() == [(0, pytest.approx(1.0, abs=1e-12))]
     assert len(state._amps) == 1  # the cancelled |1> entry is gone
 
 
@@ -310,16 +310,16 @@ def assert_same_bytes(state, amps):
     idx, values = state.nonzero()
     keys = sorted(amps)
     assert idx.tobytes() == np.array(keys, dtype=np.int64).tobytes()
-    assert values.tobytes() == np.array([amps[i] for i in keys], dtype=np.complex128).tobytes()
+    assert values.tobytes() == np.array([amps[i] for i in keys], dtype=np.float64).tobytes()
 
 
 def test_sparse_kernel_matches_dict_kernel_bytewise():
     rng = np.random.default_rng(29)
     for trial in range(300):
         n = int(rng.integers(1, 9))
-        start = {0: 1 + 0j}
-        if trial % 2:  # complex amplitudes on every basis state
-            start = {i: complex(a) for i, a in enumerate(random_vector(rng, n))}
+        start = {0: 1.0}
+        if trial % 2:  # amplitudes on every basis state
+            start = {i: float(a) for i, a in enumerate(random_vector(rng, n))}
         state, amps = SparseState(n, dict(start)), dict(start)
         for _ in range(int(rng.integers(1, 40))):
             gate = random_gate(rng, n)
@@ -337,7 +337,7 @@ def test_sparse_kernel_matches_dict_kernel_bytewise():
 def test_sparse_preparation_matches_dict_kernel_bytewise(spec, steps, initial):
     prepared = build_preparation(spec, steps, initial=initial)
     state = prepare_zero(prepared.layout.num_qubits, "sparse")
-    amps = {0: 1 + 0j}
+    amps = {0: 1.0}
     for gate in prepared.circuit.gates:
         state.apply(gate)
         amps = dict_apply(amps, gate)
@@ -351,19 +351,14 @@ def test_flip_leaves_the_same_signed_zeros_on_both_backends():
         for backend in ("sparse", "dense")
     ]
     assert dumps[0] == dumps[1]
-    assert dumps[0].splitlines()[1] == "01 -0.7071067811865475 -0.0"
+    assert dumps[0].splitlines()[1] == "01 -0.7071067811865475 0.0"
 
 
 def signed_zero_vector(rng, n):
-    """A random vector whose real-only, imaginary-only, zero and negative-zero
-    entries carry signed zeros."""
+    """A random real vector with some entries set to 0.0 and some to -0.0."""
     vec = random_vector(rng, n)
-    kind = rng.integers(0, 5, size=1 << n)
-    return np.select(
-        [kind == 0, kind == 1, kind == 2, kind == 3],
-        [vec.real + 0j, 1j * vec.imag, np.zeros_like(vec), np.full_like(vec, complex(-0.0, -0.0))],
-        vec,
-    )
+    kind = rng.integers(0, 3, size=1 << n)
+    return np.select([kind == 0, kind == 1], [np.zeros_like(vec), np.full_like(vec, -0.0)], vec)
 
 
 def test_dense_flip_matches_dict_kernel_bytewise():
@@ -376,7 +371,41 @@ def test_dense_flip_matches_dict_kernel_bytewise():
         gate = Gate("flip", None, controls=controls)
         amps = dict_apply(dict(enumerate(vec)), gate)
         state = DenseState(n, vec.copy()).apply(gate)
-        assert state._amps.tobytes() == np.array([amps[i] for i in range(1 << n)]).tobytes()
+        assert state._amps.tobytes() == np.array([amps[i] for i in range(1 << n)], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("low", range(6), ids=[f"stride-{1 << q}" for q in range(6)])
+def test_dense_flip_is_exact_at_every_view_stride(low):
+    # Controls on every qubit below `low` leave qubit `low` as the innermost
+    # free axis, so the flipped view steps 2**low elements: every stride from
+    # 1 to 39 a flip view can take. In-place np.negative on numpy 2.4 writes
+    # wrong float64 values at stride 8 from length 2 on.
+    rng = np.random.default_rng(47 + low)
+    for n in range(low + 1, low + 5):
+        for _ in range(20):
+            controls = [(q, int(rng.integers(0, 2))) for q in range(low)]
+            controls += [(q, int(rng.integers(0, 2))) for q in range(low + 1, n) if rng.random() < 0.5]
+            gate = Gate("flip", None, controls=tuple(controls))
+            vec = signed_zero_vector(rng, n)
+            amps = dict_apply(dict(enumerate(vec)), gate)
+            state = DenseState(n, vec.copy()).apply(gate)
+            assert state._amps.tobytes() == np.array([amps[i] for i in range(1 << n)], dtype=np.float64).tobytes()
+
+
+def test_dense_flip_negates_a_stride_8_view():
+    # numpy's own repro, a[1::8] of np.arange(16.0), as the view of this pattern
+    state = DenseState(4, np.arange(16.0)).apply(Gate("flip", None, controls=((0, 1), (1, 0), (2, 0))))
+    assert state._amps[9] == -9.0
+    assert state._amps.tolist() == [-x if x in (1, 9) else x for x in range(16)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DenseState(1, np.array([1.0, 0.0], dtype=np.complex128)),
+    lambda: SparseState(1, {0: 1j}),
+], ids=["dense", "sparse"])
+def test_a_complex_input_is_refused_in_one_line(make):
+    with pytest.raises(ValueError, match="^amplitudes must be real, got complex128: every gate is a real matrix$"):
+        make()
 
 
 def dense_reference_apply(amps, gate):
@@ -389,7 +418,7 @@ def dense_reference_apply(amps, gate):
         index[n - 1 - q] = b
     if gate.kind == "flip":
         view = grid[(*index, ...)]
-        np.negative(view, out=view)
+        np.multiply(view, -1.0, out=view)  # np.negative fails in place at stride 8
         return amps
     axis = n - 1 - gate.target
     index[axis] = 0
@@ -489,7 +518,7 @@ def test_dense_capacity_is_enforced():
 
 
 @pytest.mark.parametrize("num_qubits, figure", [
-    (27, "2048 MiB of amplitudes, limit is 26 qubits (1 GiB); use the sparse backend"),
+    (27, "1024 MiB of amplitudes, limit is 26 qubits (512 MiB); use the sparse backend"),
     (200, "a 56-digit integer MiB of amplitudes"),
     (15000, "a 4511-digit integer MiB of amplitudes"),
 ], ids=["27q", "200q", "15000q"])
@@ -521,7 +550,7 @@ def test_sample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         state.sample(-1, seed=0)
     assert state.sample(0, seed=0) == {}
-    for empty in (DenseState(1, np.zeros(2, dtype=np.complex128)), SparseState(1, {})):
+    for empty in (DenseState(1, np.zeros(2)), SparseState(1, {})):
         with pytest.raises(ValueError, match="^cannot sample from an all-zero state$"):
             empty.sample(1, seed=0)
 
