@@ -12,7 +12,12 @@ The dense backend holds all 2**n amplitudes in one array and runs each gate
 through it in place, chunk by chunk: ``CHUNK_QUBITS`` sets the chunk at 2**16
 amplitudes (512 KiB), and a gate's scratch buffers are at most two chunks. So
 dense peak memory is the array plus a few MiB, and ``DENSE_QUBIT_LIMIT``
-bounds the peak, not just the amplitudes. The sparse backend holds only the
+bounds the peak, not just the amplitudes. Beside the array, one flag per
+chunk row may be set only when every byte of the row is +0.0. A gate skips
+the rows it would read when all of them are flagged and it maps a (+0.0,
++0.0) pair to (+0.0, +0.0), so a gate costs the rows the state occupies, and
+the skipped rows keep the bytes the full pass would have left. The sparse
+backend holds only the
 live amplitudes, an int64 basis-index array beside a float64 amplitude
 array in no order, which caps its width at 63 qubits.
 
@@ -158,6 +163,14 @@ def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
     return c, -s, s, c
 
 
+def _keeps_zero(m0: float, m1: float) -> bool:
+    """Whether ``m0 * 0.0 + m1 * 0.0``, the kernel's own arithmetic on a
+    zero pair, is +0.0: false when both entries are negative (a -0.0 sum)
+    and when either is not finite."""
+    z = m0 * 0.0 + m1 * 0.0
+    return z == 0.0 and math.copysign(1.0, z) > 0
+
+
 def check_width(num_qubits: int, backend: str) -> None:
     """Refuse a width the backend cannot hold; callers check before costly work."""
     if num_qubits < 1:
@@ -282,18 +295,41 @@ class _StateBase:
 
 class DenseState(_StateBase):
     """Contiguous float64 array of 2**n amplitudes. Every gate kind walks it
-    in rows of ``2**CHUNK_QUBITS`` amplitudes: the controls on qubits above a
-    row pick the rows, those inside a row index into it."""
+    in rows of ``2**CHUNK_QUBITS`` amplitudes (the chunk width is read once,
+    at construction): the controls on qubits above a row pick the rows, those
+    inside a row index into it.
+
+    ``_zero`` is a list of one bool per row, True only when every byte of
+    the row is +0.0; -0.0 counts as busy. |0...0> flags every row but row
+    0, and a given array is flagged from its bytes. A gate skips a row, or a
+    row pair when its target lies above the row, when every row it reads is
+    flagged and it maps (+0.0, +0.0) to (+0.0, +0.0): X always does, H and
+    Ry when ``_keeps_zero`` holds for both rows of their matrix (every Ry
+    angle in [-pi, pi]), and FLIP never does, since it writes -0.0. Such a
+    gate also skips a row pair with one flagged row when the part of the
+    busy row it reads holds only +0.0, so it writes no zeros into the
+    flagged row. A flagged row that a gate writes is flagged again from its
+    bytes; a busy row stays busy, so a fully busy state pays no scan.
+    """
 
     backend = "dense"
 
     def __init__(self, num_qubits: int, amps: np.ndarray | None = None):
         check_width(num_qubits, self.backend)
         self.num_qubits = num_qubits
+        self._chunk = min(CHUNK_QUBITS, num_qubits)
         if amps is None:
-            amps = np.zeros(1 << num_qubits, dtype=np.float64)
-            amps[0] = 1.0
-        self._amps = _real(amps)
+            self._amps = np.zeros(1 << num_qubits, dtype=np.float64)
+            self._amps[0] = 1.0
+            self._zero = [False] + [True] * ((1 << (num_qubits - self._chunk)) - 1)
+        else:
+            self._amps = _real(amps)
+            self._zero = (self._row_bits().max(axis=1) == 0).tolist()
+
+    def _row_bits(self) -> np.ndarray:
+        """The amplitudes as one uint64 row per chunk: a row holds only +0.0
+        exactly when no bit of it is set."""
+        return self._amps.reshape(-1, 1 << self._chunk).view(np.uint64)
 
     def apply(self, gate: Gate) -> "DenseState":
         n = self.num_qubits
@@ -302,8 +338,9 @@ class DenseState(_StateBase):
                 raise ValueError(f"gate touches qubit {q} outside register of {n}")
         # Rows of 2**c amplitudes, each a (2,)*c grid; qubit q < c is axis
         # c-1-q of a row and qubit q >= c is bit q-c of the row number.
-        c = min(CHUNK_QUBITS, n)
+        c = self._chunk
         rows = self._amps.reshape((-1,) + (2,) * c)
+        zero = self._zero
         index: list = [slice(None)] * c
         mask = want = 0
         for q, b in gate.controls:
@@ -323,6 +360,7 @@ class DenseState(_StateBase):
                 if r & mask == want:
                     view = rows[r][sel]
                     np.multiply(view, -1.0, out=view)
+                    zero[r] = False  # a negated +0.0 is -0.0
             return self
         if gate.target < c:  # both halves of the pair lie in one row
             index[c - 1 - gate.target] = 0
@@ -334,32 +372,51 @@ class DenseState(_StateBase):
             sel0 = sel1 = (*index, ...)
             partner = 1 << (gate.target - c)
             mask |= partner
-        pairs = [(rows[r][sel0], rows[r | partner][sel1]) for r in range(len(rows)) if r & mask == want]
-        buf = np.empty_like(pairs[0][0])
-        if gate.kind == X:
-            for a0, a1 in pairs:
+        swap = gate.kind == X
+        if not swap:
+            m00, m01, m10, m11 = _gate_matrix(gate)
+        keeps = swap or (_keeps_zero(m00, m01) and _keeps_zero(m10, m11))
+        bits = self._row_bits()
+        buf = np.empty_like(rows[0][sel0])
+        tmp = np.empty_like(buf)
+        for r0 in range(len(rows)):
+            r1 = r0 | partner
+            if r0 & mask != want or (keeps and zero[r0] and zero[r1]):
+                continue
+            a0, a1 = rows[r0][sel0], rows[r1][sel1]
+            flagged = zero[r0] or zero[r1]
+            if flagged and keeps and not (a1 if zero[r0] else a0).view(np.uint64).any():
+                continue  # the busy row reads +0.0 too: the pass would only fault in the flagged row
+            if swap:
                 np.copyto(buf, a0)
                 np.copyto(a0, a1)
                 np.copyto(a1, buf)
-            return self
-        m00, m01, m10, m11 = _gate_matrix(gate)
-        tmp = np.empty_like(buf)
-        for a0, a1 in pairs:
-            # new0 is formed before a0 is overwritten and a1 is scaled in place
-            # only once new0 no longer needs it; the multiply-then-add shape,
-            # m00 * a0 + m01 * a1 and m10 * a0 + m11 * a1, matches the sparse
-            # kernel bit for bit.
-            np.multiply(m00, a0, out=buf)
-            np.multiply(m01, a1, out=tmp)
-            np.add(buf, tmp, out=buf)
-            np.multiply(m10, a0, out=tmp)
-            np.multiply(m11, a1, out=a1)
-            np.add(tmp, a1, out=a1)
-            np.copyto(a0, buf)
+            else:
+                # new0 is formed before a0 is overwritten and a1 is scaled in
+                # place only once new0 no longer needs it; the
+                # multiply-then-add shape, m00 * a0 + m01 * a1 and
+                # m10 * a0 + m11 * a1, matches the sparse kernel bit for bit.
+                np.multiply(m00, a0, out=buf)
+                np.multiply(m01, a1, out=tmp)
+                np.add(buf, tmp, out=buf)
+                np.multiply(m10, a0, out=tmp)
+                np.multiply(m11, a1, out=a1)
+                np.add(tmp, a1, out=a1)
+                np.copyto(a0, buf)
+            if flagged:
+                for r in {r0, r1}:
+                    if zero[r]:
+                        zero[r] = bool(bits[r].max() == 0)
         return self
 
     def nonzero(self):
-        idx = np.flatnonzero(self._amps)
+        if not any(self._zero):
+            idx = np.flatnonzero(self._amps)
+        else:  # flagged rows hold only +0.0: scan the others in ascending order
+            width = 1 << self._chunk
+            rows = self._amps.reshape(-1, width)
+            busy = [r for r, flag in enumerate(self._zero) if not flag]
+            idx = np.concatenate([np.empty(0, dtype=np.intp)] + [np.flatnonzero(rows[r]) + r * width for r in busy])
         return idx, self._amps[idx]
 
 
@@ -415,9 +472,7 @@ class SparseState(_StateBase):
         a1[np.searchsorted(keys, keys1)] = amps[upper]
         m00, m01, m10, m11 = _gate_matrix(gate)
         out_idx = np.concatenate((idx[rest], keys, keys | tbit))
-        # Adding 0.0 turns each -0.0 part into +0.0, so the bytes equal a
-        # per-amplitude sum onto a 0.0 accumulator (tests/test_sim.py).
-        out_amps = np.concatenate((amps[rest], m00 * a0 + m01 * a1, m10 * a0 + m11 * a1)) + 0.0
+        out_amps = np.concatenate((amps[rest], m00 * a0 + m01 * a1, m10 * a0 + m11 * a1))
         live = np.abs(out_amps) >= PRUNE_TOL
         self._idx, self._amps = out_idx[live], out_amps[live]
         return self

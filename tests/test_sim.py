@@ -460,6 +460,63 @@ def test_chunked_dense_kernel_matches_reference_bytewise(monkeypatch):
     assert min(sides[what, above] for what in ("target", "control") for above in (False, True)) > 50
 
 
+def signed_zero_rows(rng, n, chunk):
+    """A random real vector whose rows of 2**chunk amplitudes are each
+    random, all +0.0 or all -0.0."""
+    rows = random_vector(rng, n).reshape(-1, 1 << chunk)
+    kind = rng.integers(0, 3, size=len(rows))
+    rows[kind == 0] = 0.0
+    rows[kind == 1] = -0.0
+    return rows.reshape(-1)
+
+
+def flags_hold(state):
+    """Every flagged row holds only +0.0, byte for byte."""
+    bits = state._amps.reshape(len(state._zero), -1).view(np.uint64)
+    return not bits[np.array(state._zero)].any()
+
+
+def test_dense_row_skip_matches_reference_bytewise(monkeypatch):
+    # Rows that hold only +0.0 are skipped; -0.0 rows, flips and Ry angles
+    # beyond +-pi (whose matrix maps a zero pair to a -0.0) must not be.
+    rng = np.random.default_rng(53)
+    seen = Counter()  # (gate kind, whether the state had a flagged row) pairs
+    for chunk in (2, 3):
+        monkeypatch.setattr(sim, "CHUNK_QUBITS", chunk)
+        for trial in range(200):
+            n = int(rng.integers(chunk + 1, 9))
+            vec = np.zeros(1 << n) if trial % 2 else signed_zero_rows(rng, n, chunk)
+            if trial % 2:
+                vec[0] = 1.0
+            state = DenseState(n) if trial % 2 else DenseState(n, vec.copy())
+            assert flags_hold(state)
+            for _ in range(int(rng.integers(1, 12))):
+                gate = random_gate(rng, n)
+                seen[gate.kind, any(state._zero)] += 1
+                state.apply(gate)
+                dense_reference_apply(vec, gate)
+                assert state._amps.tobytes() == vec.tobytes()
+                assert flags_hold(state)
+    assert min(seen[kind, True] for kind in ("h", "x", "ry", "flip")) > 100
+
+
+def test_a_partly_flagged_state_reads_out_like_a_fully_busy_one(monkeypatch):
+    monkeypatch.setattr(sim, "CHUNK_QUBITS", 3)
+    prepared = build_preparation(bundled_mdp(), 2)
+    n = prepared.layout.num_qubits
+    state = DenseState(n).apply_circuit(prepared.circuit)
+    assert 0 < sum(state._zero) < len(state._zero)
+    rows = state._amps.copy().reshape(len(state._zero), -1)
+    rows[~rows.view(np.uint64).any(axis=1), 0] = -0.0  # every row busy, same live entries
+    amps = rows.reshape(-1)
+    busy = DenseState(n, amps)
+    assert not any(busy._zero)
+    (idx, values), (busy_idx, busy_values) = state.nonzero(), busy.nonzero()
+    assert idx.dtype == busy_idx.dtype and idx.tobytes() == busy_idx.tobytes()
+    assert values.tobytes() == busy_values.tobytes()
+    assert state.sample(5000, seed=3) == busy.sample(5000, seed=3)
+
+
 @pytest.mark.parametrize("gate", [
     Gate("h", 0),
     Gate("h", 19),
