@@ -15,11 +15,11 @@ dense peak memory is the array plus a few MiB, and ``DENSE_QUBIT_LIMIT``
 bounds the peak, not just the amplitudes. Beside the array, one flag per
 chunk row may be set only when every byte of the row is +0.0. A gate skips
 the rows it would read when all of them are flagged and it maps a (+0.0,
-+0.0) pair to (+0.0, +0.0), so a gate costs the rows the state occupies, and
-the skipped rows keep the bytes the full pass would have left. The sparse
-backend holds only the
-live amplitudes, an int64 basis-index array beside a float64 amplitude
-array in no order, which caps its width at 63 qubits.
++0.0) pair to (+0.0, +0.0), so a gate costs the rows the state occupies,
+and the skipped rows keep the bytes the full pass would have left. The
+sparse backend holds only the live amplitudes, an int64 basis-index array
+beside a float64 amplitude array in no order, which caps its width at 63
+qubits.
 
 Determinism contract: readouts start from ``nonzero()``, the live entries by
 ascending basis index, and take probabilities from ``live_probabilities()``

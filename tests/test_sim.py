@@ -4,7 +4,8 @@ The reference builds each gate as a full 2**n by 2**n matrix from Kronecker
 products of 2x2 blocks and control projectors, a deliberately different code
 path from either backend kernel. The sparse array kernel is also held to
 byte equality with a per-amplitude dict kernel kept here as its reference,
-and the chunked dense kernel with the whole-array step it replaced.
+and the chunked dense kernel, rows it skips included, with the whole-array
+step it replaced.
 """
 
 import math
@@ -485,10 +486,12 @@ def test_dense_row_skip_matches_reference_bytewise(monkeypatch):
         monkeypatch.setattr(sim, "CHUNK_QUBITS", chunk)
         for trial in range(200):
             n = int(rng.integers(chunk + 1, 9))
-            vec = np.zeros(1 << n) if trial % 2 else signed_zero_rows(rng, n, chunk)
             if trial % 2:
+                state, vec = DenseState(n), np.zeros(1 << n)
                 vec[0] = 1.0
-            state = DenseState(n) if trial % 2 else DenseState(n, vec.copy())
+            else:
+                vec = signed_zero_rows(rng, n, chunk)
+                state = DenseState(n, vec.copy())
             assert flags_hold(state)
             for _ in range(int(rng.integers(1, 12))):
                 gate = random_gate(rng, n)
