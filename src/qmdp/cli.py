@@ -8,11 +8,14 @@ greedy policy with rollout summaries.
 
 Artifacts go to ``--out`` when given (sibling files derive from its stem),
 otherwise to stdout. ``simulate`` and ``enumerate`` write their trajectory
-tables, CSV or JSON, through one renderer, ``_trajectory_text``, which
-formats the table's columns whole; tables arrive in ascending bit string
-order, and it alone lists rows by :func:`probability_order`. Identical
-flags and seed give byte-identical artifacts: every random draw is seeded,
-and all float text uses repr round-tripping. ``--start`` is resolved once,
+tables, CSV or JSON, through one renderer, ``_trajectory_text``. Tables
+arrive in ascending bit string order, and it alone lists rows by
+:func:`probability_order`, which rounds with numpy and hands only entries
+near a half-way point to Python's ``round``. Its CSV branch builds every
+row at once as one byte matrix of column texts, with no per-row Python
+work but one ``repr`` per probability. Identical flags and seed give
+byte-identical artifacts: every random draw is seeded, and all float text
+uses repr round-tripping. ``--start`` is resolved once,
 when the model is loaded, so every library call reads it from the model.
 """
 
@@ -137,25 +140,51 @@ def _sibling_path(out: str, suffix: str, extension: str) -> str:
     return f"{os.path.splitext(out)[0]}_{suffix}{extension}"
 
 
+def rounded_probability(probability: np.ndarray) -> np.ndarray:
+    """Each entry rounded to 12 places, bit for bit as Python's ``round(p, 12)``.
+
+    ``np.rint(p * 1e12) / 1e12`` is that value wherever the product lies
+    clearly off a half-way point: the product's rounding error (under
+    1.3e-4) cannot move it across, and dividing the integer by ``1e12`` is
+    correctly rounded, as is Python's decimal path. Entries whose product
+    lies within 1e-3 of a half-way point are rounded by Python's ``round``
+    itself; ``np.round`` alone differs from it on a few values in a million.
+    """
+    scaled = probability * 1e12
+    rounded = np.rint(scaled) / 1e12
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-3
+    rounded[near_half] = [round(p, 12) for p in probability[near_half].tolist()]
+    return rounded
+
+
 def probability_order(probability: np.ndarray) -> np.ndarray:
     """Row order of every trajectory listing, given rows in ascending bit
-    string order: descending probability, rounded to 12 places so float dust
-    cannot reorder ties, then ascending bit string, which the stable sort
-    keeps. The rounding is Python's ``round`` per entry: ``np.round`` differs
-    from it on a few values in a million."""
-    rounded = np.array([round(p, 12) for p in probability.tolist()])
-    return np.argsort(-rounded, kind="stable")
+    string order: descending probability, rounded to 12 places by
+    :func:`rounded_probability` so float dust cannot reorder ties, then
+    ascending bit string, which the stable sort keeps."""
+    return np.argsort(-rounded_probability(probability), kind="stable")
+
+
+def _cells(column: np.ndarray, template: str) -> np.ndarray:
+    """``template.format(v)`` of each entry of an integer array (int64, or
+    Python ints in an object array) as ASCII bytes, one text per distinct
+    value gathered by index; the result keeps the column's shape."""
+    distinct = np.unique(column)  # searchsorted below: return_inverse's index arrays cost 2.5x the memory
+    text = np.array([template.format(v) for v in distinct.tolist()], dtype="S")
+    return text[np.searchsorted(distinct, column)]
 
 
 def _trajectory_text(table, counts, fmt: str) -> str:
     """The simulate and enumerate table, its rows in :func:`probability_order`;
-    ``counts`` fills the count column (empty or null when None). Each column
-    is gathered into that order and formatted whole: probabilities by ``repr``,
-    step values through one string per distinct value, then one join per row."""
-    order = probability_order(table.probability)  # columns gather through it as temporaries, gone before the join
-    bits = table.bitstrings()[order].astype(str).tolist()
+    ``counts`` fills the count column (empty or null when None; keys not in
+    the table are ignored). CSV rows are built as one byte matrix: every
+    column is a NUL-padded ``S`` array gathered into that order and viewed
+    as bytes, with one ``repr`` per probability and one text per distinct
+    return, count and step value; the padding is dropped once at the end."""
+    order = probability_order(table.probability)  # columns gather through it as temporaries
     values = table.registers[:, :-1]  # the step registers, a view
     if fmt == "json":
+        bits = table.bitstrings()[order].astype(str).tolist()
         rows = zip(bits, table.total_return[order].tolist(), table.probability[order].tolist(),
                    values[order].reshape(len(table), table.layout.steps, -1).tolist())
         doc = [{
@@ -166,14 +195,25 @@ def _trajectory_text(table, counts, fmt: str) -> str:
             "steps": path,
         } for b, ret, prob, path in rows]
         return _json_text(doc)
-    distinct = np.unique(values)  # searchsorted below: return_inverse's index arrays cost 2.5x the memory
-    cells = np.array([str(v) for v in distinct.tolist()], dtype=object)[np.searchsorted(distinct, values[order])]
-    count_text = [""] * len(bits) if counts is None else [str(counts.get(b, 0)) for b in bits]
-    lines = ["bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(table.layout.steps))]
-    lines += map(",".join, zip(bits, map(str, table.total_return[order].tolist()),
-                               map(repr, table.probability[order].tolist()), count_text, *cells.T))
-    lines.append("")  # the final newline, without a second copy of the joined text
-    return "\n".join(lines)
+    bits = table.bitstrings()  # ascending, so drawn counts scatter onto rows by searchsorted
+    drawn = np.zeros(len(table), dtype=np.int64)
+    if counts:
+        keys = np.array(list(counts), dtype="S")
+        row = np.searchsorted(bits, keys)
+        found = row < len(bits)
+        found[found] = bits[row[found]] == keys[found]
+        drawn[row[found]] = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))[found]
+    columns = [
+        bits[order, None],
+        _cells(table.total_return[order, None], ",{},"),
+        np.array([repr(p) for p in table.probability[order].tolist()], dtype="S")[:, None],
+        np.full((len(table), 1), b",", dtype="S1") if counts is None else _cells(drawn[order, None], ",{}"),
+        _cells(values[order], ",{}"),
+        np.full((len(table), 1), b"\n", dtype="S1"),
+    ]
+    header = "bitstring,return,prob,count" + "".join(f",s{t},a{t},sp{t},r{t}" for t in range(table.layout.steps))
+    matrix = np.hstack([column.view(np.uint8) for column in columns])
+    return b"".join([f"{header}\n".encode(), matrix]).replace(b"\0", b"").decode("ascii")
 
 
 def _transition_table_text(table, fmt: str) -> str:

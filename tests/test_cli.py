@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import qmdp
 from qmdp import MdpSpec, Transition, build_preparation, bundled_mdp, save, simulate_distribution
-from qmdp.cli import CliError, _counts_csv, _trajectory_text, main, probability_order
+from qmdp.cli import CliError, _counts_csv, _trajectory_text, main, probability_order, rounded_probability
 from qmdp.classical import enumerate_trajectories
 
 from conftest import random_mdp
@@ -197,6 +197,21 @@ GOLDEN = {
         ["enumerate", "--mdp", "{model}", "--steps", "2", "--format", "json", "--out", "{dir}/catalog.json"],
         {
             "catalog.json": "8a093ffa13ba060f17913d931ef99fba56c881579f5e09702e473e26958de625",
+        },
+    ),
+    # Tables of 32 768 rows: the tie fallback of the rounding rule and the
+    # distinct-value gathers of the CSV writer run at the benchmark's scale.
+    "enumerate-random8-t4": (
+        ["enumerate", "--mdp", "{model}", "--steps", "4", "--start", "uniform", "--out", "{dir}/catalog.csv"],
+        {
+            "catalog.csv": "a7dd95a3761566e241ed2dc782c56c0c15d9e159809959a98213d2ddb5555732",
+        },
+    ),
+    "simulate-random8-t4-shots": (
+        ["simulate", "--mdp", "{model}", "--steps", "4", "--start", "uniform", "--shots", "4096",
+         "--seed", "1", "--out", "{dir}/traj.csv"],
+        {
+            "traj.csv": "2b4edd6167b2efa77cc61479fa4c048390151e57a738c5b1438735445ad46377",
         },
     ),
     # Successor rows of up to 8 entries whose totals miss 1.0 by a few ulps.
@@ -677,10 +692,17 @@ def test_simulate_and_enumerate_agree_on_random_models(
         assert abs(sim_prob - prob) < 1e-9
 
 
+def python_round(probability):
+    """Python's ``round(p, 12)`` per entry: the rounding rule the vectorised
+    :func:`rounded_probability` reproduces, kept as its reference."""
+    return np.array([round(p, 12) for p in probability.tolist()], dtype=np.float64)
+
+
 def listed(table):
-    """The table's records in the listing order the writer applies."""
+    """The table's records in the listing order the writer must apply:
+    descending Python-rounded probability, ties in ascending bit string."""
     records = list(table)
-    return [records[i] for i in probability_order(table.probability).tolist()]
+    return [records[i] for i in np.argsort(-python_round(table.probability), kind="stable").tolist()]
 
 
 def record_writer(records, steps, counts, fmt):
@@ -732,6 +754,84 @@ def test_column_writer_equals_the_record_writer_on_a_sampled_simulation(fmt):
     table = simulate_distribution(prepared)
     counts = prepared.prepare_state().sample(4096, 7)
     assert _trajectory_text(table, counts, fmt) == record_writer(listed(table), 3, counts, fmt)
+
+
+LOOP = MdpSpec(1, 1, (Transition(0, 0, 0, 1.0),), (2**62,), 0)  # T = 2 returns 2**63, past int64
+HUGE = MdpSpec(2, 2, (Transition(0, 0, 0, 0.5), Transition(0, 0, 1, 0.5), Transition(0, 1, 1, 1.0),
+                      Transition(1, 0, 0, 1.0), Transition(1, 1, 1, 1.0)), (2**70, 2**62), None)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("spec, steps", [
+    pytest.param(LOOP, 1, id="loop-t1"),  # one row, no return register
+    pytest.param(LOOP, 2, id="loop-t2"),  # one row, return 2**63 in an object column
+    pytest.param(LOOP, 3, id="loop-t3"),
+    pytest.param(HUGE, 1, id="huge-t1"),
+    pytest.param(HUGE, 2, id="huge-t2"),
+    pytest.param(HUGE, 3, id="huge-t3"),
+])
+def test_column_writer_keeps_wide_returns_and_single_rows(spec, steps, fmt):
+    table = enumerate_trajectories(spec, steps, None, include_return=steps > 1)
+    assert len(table) == 1 or spec is HUGE
+    assert (table.registers.dtype == object) == (spec is HUGE or steps > 1)  # Python ints, never int64
+    assert _trajectory_text(table, None, fmt) == record_writer(listed(table), steps, None, fmt)
+
+
+def test_enumerate_writes_a_return_past_63_bits(capsys, tmp_path):
+    model = tmp_path / "loop.json"
+    model.write_text(save(LOOP), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--mdp", str(model), "--steps", "2")
+    assert (code, err) == (0, "")
+    table = enumerate_trajectories(LOOP, 2, None)
+    assert out == record_writer(listed(table), 2, None, "csv")
+    assert out.splitlines()[1].split(",")[1] == str(2**63)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_column_writer_ignores_unknown_and_unordered_count_keys(fmt):
+    table = enumerate_trajectories(bundled_mdp(), 2, None, include_return=True)
+    ascending = table.bitstrings().astype(str).tolist()
+    width = len(ascending[0])
+    stray = next(bits for bits in (format(i, f"0{width}b") for i in range(int(ascending[0], 2), 2**width))
+                 if bits not in ascending)  # sorts between the table's rows
+    assert ascending[0] < stray < ascending[-1]
+    counts = {ascending[-1]: 4, stray: 9, ascending[0]: 2, ascending[len(ascending) // 2]: 7}
+    text = _trajectory_text(table, counts, fmt)
+    assert text == record_writer(listed(table), 2, counts, fmt)
+    assert stray not in text
+
+
+def test_column_writer_on_one_step_without_a_return_register():
+    table = enumerate_trajectories(bundled_mdp(), 1, None, include_return=False)
+    assert table.layout.return_bits == 0
+    counts = {record.bitstring: i + 1 for i, record in enumerate(table)}
+    for fmt in ("csv", "json"):
+        assert _trajectory_text(table, counts, fmt) == record_writer(listed(table), 1, counts, fmt)
+
+
+def rounding_cases():
+    """Half-way points ``(k + 0.5) / 1e12`` and their neighbours up to 4 ulps
+    away at magnitudes from 1e-12 to 1, with the ends of the range."""
+    ks = [0, 1, 2, 7, 12, 99, 123, 4567, 10**5 + 3, 31415926, 10**9 + 1, 271828182845, 10**12 - 2]
+    centres = np.array([(k + 0.5) / 1e12 for k in ks])
+    around = [centres]
+    for direction in (np.inf, -np.inf):
+        step = centres
+        for _ in range(4):
+            step = np.nextafter(step, direction)
+            around.append(step)
+    return np.concatenate(around + [np.array([0.0, 5e-324, 1.0, 1 - 2**-53])])
+
+
+def test_rounding_rule_equals_python_round_bit_for_bit(random8_model):
+    spec = qmdp.load(random8_model.read_text(encoding="utf-8"))
+    simulated = simulate_distribution(build_preparation(spec, 4, initial="uniform")).probability
+    for probability in (rounding_cases(), simulated):
+        reference = python_round(probability)
+        assert rounded_probability(probability).view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+        assert probability_order(probability).tolist() == np.argsort(-reference, kind="stable").tolist()
+    cases = rounding_cases()  # the half-way points are where numpy's own rounding strays
+    assert (np.round(cases, 12) != python_round(cases)).any()
 
 
 def test_counts_outside_the_catalog_are_refused():
