@@ -15,8 +15,8 @@ near a half-way point to Python's ``round``. Its CSV branch builds every
 row at once as one byte matrix of column texts, with no per-row Python
 work but one ``repr`` per probability. Identical flags and seed give
 byte-identical artifacts: every random draw is seeded, and all float text
-uses repr round-tripping. ``--start`` is resolved once,
-when the model is loaded, so every library call reads it from the model.
+uses repr round-tripping. ``--start`` is resolved once, when the model is
+loaded, so every library call reads it from the model.
 """
 
 from __future__ import annotations
@@ -143,12 +143,13 @@ def _sibling_path(out: str, suffix: str, extension: str) -> str:
 def rounded_probability(probability: np.ndarray) -> np.ndarray:
     """Each entry rounded to 12 places, bit for bit as Python's ``round(p, 12)``.
 
-    ``np.rint(p * 1e12) / 1e12`` is that value wherever the product lies
-    clearly off a half-way point: the product's rounding error (under
-    1.3e-4) cannot move it across, and dividing the integer by ``1e12`` is
-    correctly rounded, as is Python's decimal path. Entries whose product
-    lies within 1e-3 of a half-way point are rounded by Python's ``round``
-    itself; ``np.round`` alone differs from it on a few values in a million.
+    For a probability (p <= 1, so p * 1e12 < 2**40), ``np.rint(p * 1e12) /
+    1e12`` is that value wherever the product lies clearly off a half-way
+    point: the product's rounding error (under 1.3e-4) cannot move it
+    across, and dividing the integer by ``1e12`` is correctly rounded, as is
+    Python's decimal path. Entries whose product lies within 1e-3 of a
+    half-way point are rounded by Python's ``round`` itself; ``np.round``
+    alone differs from it on a few values in a million.
     """
     scaled = probability * 1e12
     rounded = np.rint(scaled) / 1e12
@@ -163,6 +164,15 @@ def probability_order(probability: np.ndarray) -> np.ndarray:
     :func:`rounded_probability` so float dust cannot reorder ties, then
     ascending bit string, which the stable sort keeps."""
     return np.argsort(-rounded_probability(probability), kind="stable")
+
+
+def _rows_of(bits: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's row in ``bits``, an ascending ``S`` array, and whether the
+    key is there."""
+    row = np.searchsorted(bits, keys)
+    found = row < len(bits)
+    found[found] = bits[row[found]] == keys[found]
+    return row, found
 
 
 def _cells(column: np.ndarray, template: str) -> np.ndarray:
@@ -196,18 +206,18 @@ def _trajectory_text(table, counts, fmt: str) -> str:
         } for b, ret, prob, path in rows]
         return _json_text(doc)
     bits = table.bitstrings()  # ascending, so drawn counts scatter onto rows by searchsorted
-    drawn = np.zeros(len(table), dtype=np.int64)
-    if counts:
-        keys = np.array(list(counts), dtype="S")
-        row = np.searchsorted(bits, keys)
-        found = row < len(bits)
-        found[found] = bits[row[found]] == keys[found]
+    if counts is None:
+        count_cells = np.full((len(table), 1), b",", dtype="S1")
+    else:
+        row, found = _rows_of(bits, np.array(list(counts), dtype="S"))
+        drawn = np.zeros(len(table), dtype=np.int64)
         drawn[row[found]] = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))[found]
+        count_cells = _cells(drawn[order, None], ",{}")
     columns = [
         bits[order, None],
         _cells(table.total_return[order, None], ",{},"),
         np.array([repr(p) for p in table.probability[order].tolist()], dtype="S")[:, None],
-        np.full((len(table), 1), b",", dtype="S1") if counts is None else _cells(drawn[order, None], ",{}"),
+        count_cells,
         _cells(values[order], ",{}"),
         np.full((len(table), 1), b"\n", dtype="S1"),
     ]
@@ -311,8 +321,7 @@ def _report_json(prepared, report) -> str:
 def _counts_csv(spec, steps, counts) -> str:
     catalog = enumerate_trajectories(spec, steps, None).bitstrings()  # ascending, one byte per digit
     sampled = np.array(list(counts), dtype="S")
-    rank = np.searchsorted(catalog, sampled)
-    known = catalog[np.minimum(rank, len(catalog) - 1)] == sampled
+    rank, known = _rows_of(catalog, sampled)
     if not known.all():
         raise CliError(f"sampled bit string {min(sampled[~known]).decode()} is not in the enumerated catalog")
     lines = [TRAJECTORY_NUMBER_NOTE, "trajectory,count"]
