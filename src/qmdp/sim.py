@@ -13,13 +13,14 @@ through it in place, chunk by chunk: ``CHUNK_QUBITS`` sets the chunk at 2**16
 amplitudes (512 KiB), and a gate's scratch buffers are at most two chunks. So
 dense peak memory is the array plus a few MiB, and ``DENSE_QUBIT_LIMIT``
 bounds the peak, not just the amplitudes. Beside the array, one flag per
-chunk row may be set only when every byte of the row is +0.0. A gate skips
-the rows it would read when all of them are flagged and it maps a (+0.0,
-+0.0) pair to (+0.0, +0.0), so a gate costs the rows the state occupies,
-and the skipped rows keep the bytes the full pass would have left. The
-sparse backend holds only the live amplitudes, an int64 basis-index array
-beside a float64 amplitude array in no order, which caps its width at 63
-qubits.
+chunk row may be set only when every amplitude of the row is zero, of
+either sign. A gate skips the rows it would only read as zeros, and every
+gate maps a zero pair to a zero pair, so a gate costs the rows the state
+occupies. A skipped zero may keep a sign the full pass would have changed;
+the sign of a zero reaches no readout, and the live amplitudes equal the
+full pass bit for bit. The sparse backend holds only the live amplitudes,
+an int64 basis-index array beside a float64 amplitude array in no order,
+which caps its width at 63 qubits.
 
 Determinism contract: readouts start from ``nonzero()``, the live entries by
 ascending basis index, and take probabilities from ``live_probabilities()``
@@ -79,6 +80,8 @@ class Gate:
         else:
             if self.target is None or self.target < 0:
                 raise ValueError(f"{self.kind} needs a non-negative target qubit")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"gate angle must be finite, got {self.theta!r}")
         object.__setattr__(self, "controls", tuple((int(q), int(b)) for q, b in self.controls))
         seen = set()
         for q, b in self.controls:
@@ -161,14 +164,6 @@ def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
     c = math.cos(gate.theta / 2.0)
     s = math.sin(gate.theta / 2.0)
     return c, -s, s, c
-
-
-def _keeps_zero(m0: float, m1: float) -> bool:
-    """Whether ``m0 * 0.0 + m1 * 0.0``, the kernel's own arithmetic on a
-    zero pair, is +0.0: false when both entries are negative (a -0.0 sum)
-    and when either is not finite."""
-    z = m0 * 0.0 + m1 * 0.0
-    return z == 0.0 and math.copysign(1.0, z) > 0
 
 
 def check_width(num_qubits: int, backend: str) -> None:
@@ -299,17 +294,16 @@ class DenseState(_StateBase):
     at construction): the controls on qubits above a row pick the rows, those
     inside a row index into it.
 
-    ``_zero`` is a list of one bool per row, True only when every byte of
-    the row is +0.0; -0.0 counts as busy. |0...0> flags every row but row
-    0, and a given array is flagged from its bytes. A gate skips a row, or a
+    ``_zero`` is a list of one bool per row, True only when every amplitude
+    of the row is zero, of either sign. |0...0> flags every row but row 0,
+    and a given array is flagged from its values. A gate skips a row, or a
     row pair when its target lies above the row, when every row it reads is
-    flagged and it maps (+0.0, +0.0) to (+0.0, +0.0): X always does, H and
-    Ry when ``_keeps_zero`` holds for both rows of their matrix (every Ry
-    angle in [-pi, pi]), and FLIP never does, since it writes -0.0. Such a
-    gate also skips a row pair with one flagged row when the part of the
-    busy row it reads holds only +0.0, so it writes no zeros into the
-    flagged row. A flagged row that a gate writes is flagged again from its
-    bytes; a busy row stays busy, so a fully busy state pays no scan.
+    flagged: FLIP leaves zeros zero, and the finite matrix of H, X or Ry maps
+    a zero pair to a zero pair. H, X and Ry also skip a row pair with one
+    flagged row when the part of the busy row they read is zero, so they
+    write no zeros into the flagged row. A flagged row that a gate writes is
+    flagged again from its values; a busy row stays busy, so a fully busy
+    state pays no scan.
     """
 
     backend = "dense"
@@ -324,12 +318,7 @@ class DenseState(_StateBase):
             self._zero = [False] + [True] * ((1 << (num_qubits - self._chunk)) - 1)
         else:
             self._amps = _real(amps)
-            self._zero = (self._row_bits().max(axis=1) == 0).tolist()
-
-    def _row_bits(self) -> np.ndarray:
-        """The amplitudes as one uint64 row per chunk: a row holds only +0.0
-        exactly when no bit of it is set."""
-        return self._amps.reshape(-1, 1 << self._chunk).view(np.uint64)
+            self._zero = [not row.any() for row in self._amps.reshape(-1, 1 << self._chunk)]
 
     def apply(self, gate: Gate) -> "DenseState":
         n = self.num_qubits
@@ -350,17 +339,15 @@ class DenseState(_StateBase):
                 mask |= 1 << (q - c)
                 want |= b << (q - c)
         if gate.kind == FLIP:
-            # Exact negation in place, signed zeros as in the sparse kernel:
-            # x(-1.0) is exact on a real value. Not np.negative: on numpy 2.4
-            # it writes wrong values in place on a float64 view with an
-            # 8-element stride (tests/test_sim.py). The Ellipsis keeps a view
-            # when every axis of a row is a control.
+            # Exact negation in place: x(-1.0) is exact on a real value. Not
+            # np.negative: on numpy 2.4 it writes wrong values in place on a
+            # float64 view with an 8-element stride (tests/test_sim.py). The
+            # Ellipsis keeps a view when every axis of a row is a control.
             sel = (*index, ...)
             for r in range(len(rows)):
-                if r & mask == want:
+                if r & mask == want and not zero[r]:
                     view = rows[r][sel]
                     np.multiply(view, -1.0, out=view)
-                    zero[r] = False  # a negated +0.0 is -0.0
             return self
         if gate.target < c:  # both halves of the pair lie in one row
             index[c - 1 - gate.target] = 0
@@ -375,18 +362,16 @@ class DenseState(_StateBase):
         swap = gate.kind == X
         if not swap:
             m00, m01, m10, m11 = _gate_matrix(gate)
-        keeps = swap or (_keeps_zero(m00, m01) and _keeps_zero(m10, m11))
-        bits = self._row_bits()
         buf = np.empty_like(rows[0][sel0])
         tmp = np.empty_like(buf)
         for r0 in range(len(rows)):
             r1 = r0 | partner
-            if r0 & mask != want or (keeps and zero[r0] and zero[r1]):
+            if r0 & mask != want or (zero[r0] and zero[r1]):
                 continue
             a0, a1 = rows[r0][sel0], rows[r1][sel1]
             flagged = zero[r0] or zero[r1]
-            if flagged and keeps and not (a1 if zero[r0] else a0).view(np.uint64).any():
-                continue  # the busy row reads +0.0 too: the pass would only fault in the flagged row
+            if flagged and not (a1 if zero[r0] else a0).any():
+                continue  # the busy row reads zeros too: the pass would only fault in the flagged row
             if swap:
                 np.copyto(buf, a0)
                 np.copyto(a0, a1)
@@ -406,13 +391,13 @@ class DenseState(_StateBase):
             if flagged:
                 for r in {r0, r1}:
                     if zero[r]:
-                        zero[r] = bool(bits[r].max() == 0)
+                        zero[r] = not rows[r].any()
         return self
 
     def nonzero(self):
         if not any(self._zero):
             idx = np.flatnonzero(self._amps)
-        else:  # flagged rows hold only +0.0: scan the others in ascending order
+        else:  # flagged rows hold only zeros: scan the others in ascending order
             width = 1 << self._chunk
             rows = self._amps.reshape(-1, width)
             busy = [r for r, flag in enumerate(self._zero) if not flag]
@@ -421,7 +406,8 @@ class DenseState(_StateBase):
 
 
 class SparseState(_StateBase):
-    """Live basis indices with their amplitudes; zero entries are absent.
+    """Live basis indices with their amplitudes; zero entries are absent,
+    given ones of either sign included.
 
     ``_idx`` holds the live basis indices as an ``int64`` array and ``_amps``
     their ``float64`` amplitudes, in no order: no gate sorts, because each
@@ -437,8 +423,9 @@ class SparseState(_StateBase):
         check_width(num_qubits, self.backend)
         self.num_qubits = num_qubits
         amps = {0: 1.0} if amps is None else amps
-        self._idx = np.array(list(amps), dtype=np.int64)
-        self._amps = _real(list(amps.values()))
+        idx, values = np.array(list(amps), dtype=np.int64), _real(list(amps.values()))
+        live = values != 0  # drops 0.0 and -0.0 alike
+        self._idx, self._amps = idx[live], values[live]
 
     def apply(self, gate: Gate) -> "SparseState":
         n = self.num_qubits

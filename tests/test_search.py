@@ -289,6 +289,28 @@ def test_backends_agree_on_search(bundled):
         assert md.probability_after == pytest.approx(ms.probability_after, abs=1e-12)
 
 
+@pytest.mark.parametrize("backend", ["sparse", "dense"])
+def test_rounds_at_an_unreachable_target_change_nothing(bundled, backend):
+    # no two-step trajectory from s0 returns 6: the oracle flips nothing, and
+    # each round is the diffuser alone, which fixes the prepared state
+    prepared = build_preparation(bundled, 2, initial=0)
+    report = grover_search(prepared, 6, backend=backend, iterations=3)
+    assert (report.iterations, report.probability_before, report.probability_after) == (3, 0.0, 0.0)
+    assert report.marked == ()
+
+    def vector(state):
+        v = np.zeros(1 << prepared.layout.num_qubits)
+        idx, amps = state.nonzero()
+        v[idx] = amps
+        return v
+
+    state = prepared.prepare_state(backend)
+    psi = vector(state)
+    grover_round = build_oracle(prepared, 6).extend(build_diffuser(prepared))
+    for _ in range(3):
+        state.apply_circuit(grover_round)
+    assert np.max(np.abs(vector(state) - psi)) < 1e-12
+
 
 def test_readme_quick_tour_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

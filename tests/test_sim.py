@@ -5,7 +5,7 @@ products of 2x2 blocks and control projectors, a deliberately different code
 path from either backend kernel. The sparse array kernel is also held to
 byte equality with a per-amplitude dict kernel kept here as its reference,
 and the chunked dense kernel, rows it skips included, with the whole-array
-step it replaced.
+step it replaced, reading -0.0 as +0.0.
 """
 
 import math
@@ -22,6 +22,7 @@ import qmdp.sim as sim
 from qmdp import bundled_mdp
 from qmdp.layout import pattern_mask
 from qmdp.prepare import build_preparation
+from qmdp.search import build_diffuser, build_oracle
 from qmdp.sim import (
     DENSE_QUBIT_LIMIT,
     PRUNE_TOL,
@@ -362,6 +363,25 @@ def signed_zero_vector(rng, n):
     return np.select([kind == 0, kind == 1], [np.zeros_like(vec), np.full_like(vec, -0.0)], vec)
 
 
+def value_bytes(amps):
+    """The bytes of ``amps`` with -0.0 read as +0.0: adding +0.0 keeps the
+    bits of every other value, so nonzero entries still compare bit for bit.
+    The dense kernel skips rows of zeros, and a skipped zero may keep a sign
+    the full pass would have changed."""
+    return (np.asarray(amps, dtype=np.float64) + 0.0).tobytes()
+
+
+def test_both_backends_drop_given_zeros_of_either_sign():
+    assert SparseState(2, {0: 1.0, 1: 0.0, 2: -0.0}).dump() == "00 1.0 0.0\n"
+    rng = np.random.default_rng(43)
+    for n in range(1, 8):
+        vec = signed_zero_vector(rng, n)
+        idx, values = DenseState(n, vec.copy()).nonzero()
+        sparse_idx, sparse_values = SparseState(n, dict(enumerate(vec.tolist()))).nonzero()
+        assert idx.tobytes() == sparse_idx.tobytes() and values.tobytes() == sparse_values.tobytes()
+        assert idx.tolist() == np.flatnonzero(vec).tolist()
+
+
 def test_dense_flip_matches_dict_kernel_bytewise():
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -372,7 +392,7 @@ def test_dense_flip_matches_dict_kernel_bytewise():
         gate = Gate("flip", None, controls=controls)
         amps = dict_apply(dict(enumerate(vec)), gate)
         state = DenseState(n, vec.copy()).apply(gate)
-        assert state._amps.tobytes() == np.array([amps[i] for i in range(1 << n)], dtype=np.float64).tobytes()
+        assert value_bytes(state._amps) == value_bytes([amps[i] for i in range(1 << n)])
 
 
 @pytest.mark.parametrize("low", range(6), ids=[f"stride-{1 << q}" for q in range(6)])
@@ -390,7 +410,7 @@ def test_dense_flip_is_exact_at_every_view_stride(low):
             vec = signed_zero_vector(rng, n)
             amps = dict_apply(dict(enumerate(vec)), gate)
             state = DenseState(n, vec.copy()).apply(gate)
-            assert state._amps.tobytes() == np.array([amps[i] for i in range(1 << n)], dtype=np.float64).tobytes()
+            assert value_bytes(state._amps) == value_bytes([amps[i] for i in range(1 << n)])
 
 
 def test_dense_flip_negates_a_stride_8_view():
@@ -457,7 +477,7 @@ def test_chunked_dense_kernel_matches_reference_bytewise(monkeypatch):
                     sides.update(("control", q >= chunk) for q, _ in gate.controls)
                 state.apply(gate)
                 dense_reference_apply(amps, gate)
-                assert state._amps.tobytes() == amps.tobytes()
+                assert value_bytes(state._amps) == value_bytes(amps)
     assert min(sides[what, above] for what in ("target", "control") for above in (False, True)) > 50
 
 
@@ -472,14 +492,14 @@ def signed_zero_rows(rng, n, chunk):
 
 
 def flags_hold(state):
-    """Every flagged row holds only +0.0, byte for byte."""
-    bits = state._amps.reshape(len(state._zero), -1).view(np.uint64)
-    return not bits[np.array(state._zero)].any()
+    """Every flagged row holds only zeros, of either sign."""
+    rows = state._amps.reshape(len(state._zero), -1)
+    return not rows[np.array(state._zero)].any()
 
 
 def test_dense_row_skip_matches_reference_bytewise(monkeypatch):
-    # Rows that hold only +0.0 are skipped; -0.0 rows, flips and Ry angles
-    # beyond +-pi (whose matrix maps a zero pair to a -0.0) must not be.
+    # Rows of zeros, +0.0 or -0.0, are flagged, and every gate kind skips
+    # them, flips and Ry angles beyond +-pi included.
     rng = np.random.default_rng(53)
     seen = Counter()  # (gate kind, whether the state had a flagged row) pairs
     for chunk in (2, 3):
@@ -498,7 +518,7 @@ def test_dense_row_skip_matches_reference_bytewise(monkeypatch):
                 seen[gate.kind, any(state._zero)] += 1
                 state.apply(gate)
                 dense_reference_apply(vec, gate)
-                assert state._amps.tobytes() == vec.tobytes()
+                assert value_bytes(state._amps) == value_bytes(vec)
                 assert flags_hold(state)
     assert min(seen[kind, True] for kind in ("h", "x", "ry", "flip")) > 100
 
@@ -509,15 +529,34 @@ def test_a_partly_flagged_state_reads_out_like_a_fully_busy_one(monkeypatch):
     n = prepared.layout.num_qubits
     state = DenseState(n).apply_circuit(prepared.circuit)
     assert 0 < sum(state._zero) < len(state._zero)
-    rows = state._amps.copy().reshape(len(state._zero), -1)
-    rows[~rows.view(np.uint64).any(axis=1), 0] = -0.0  # every row busy, same live entries
-    amps = rows.reshape(-1)
-    busy = DenseState(n, amps)
-    assert not any(busy._zero)
+    busy = DenseState(n, state._amps.copy())
+    busy._zero = [False] * len(busy._zero)  # every row busy, same live entries
     (idx, values), (busy_idx, busy_values) = state.nonzero(), busy.nonzero()
     assert idx.dtype == busy_idx.dtype and idx.tobytes() == busy_idx.tobytes()
     assert values.tobytes() == busy_values.tobytes()
     assert state.sample(5000, seed=3) == busy.sample(5000, seed=3)
+
+
+@pytest.mark.parametrize("initial", [0, "uniform"], ids=["fixed-0", "uniform"])
+def test_dense_grover_rounds_keep_the_row_skip(monkeypatch, initial):
+    # The diffuser ends in a global flip; rows of zeros stay flagged through
+    # it, so later gates still skip them.
+    monkeypatch.setattr(sim, "CHUNK_QUBITS", 6)
+    prepared = build_preparation(bundled_mdp(), 2, initial=initial)
+    n = prepared.layout.num_qubits
+    circuit = Circuit(n).extend(prepared.circuit)
+    for _ in range(2):
+        circuit.extend(build_oracle(prepared, 5)).extend(build_diffuser(prepared))
+    state = DenseState(n).apply_circuit(circuit)
+    assert sum(state._zero) > len(state._zero) // 2
+    assert flags_hold(state)
+    amps = np.zeros(1 << n)
+    amps[0] = 1.0
+    for gate in circuit.gates:
+        dense_reference_apply(amps, gate)
+    idx, values = state.nonzero()
+    assert idx.tobytes() == np.flatnonzero(amps).tobytes()
+    assert values.tobytes() == amps[idx].tobytes()
 
 
 @pytest.mark.parametrize("gate", [
@@ -553,6 +592,11 @@ def test_validation_rejects_malformed_gates():
         Gate("x", 1, controls=((0, 2),))
     with pytest.raises(ValueError, match="^control qubit -1 is negative$"):
         Gate("x", 1, controls=((-1, 1),))
+    for theta in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"^gate angle must be finite, got {theta}$"):
+            Gate("ry", 0, float(theta))
+    with pytest.raises(ValueError, match="^gate angle must be finite, got nan$"):
+        Circuit(1).ry(float("nan"), 0)
 
 
 def test_width_mismatches_are_rejected():
