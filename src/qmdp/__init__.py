@@ -42,7 +42,6 @@ from .prepare import (
     theta_for,
 )
 from .search import (
-    MarkedState,
     SearchReport,
     build_diffuser,
     build_oracle,
@@ -57,7 +56,6 @@ __all__ = [
     "Circuit",
     "DenseState",
     "Gate",
-    "MarkedState",
     "MdpFormatError",
     "MdpSpec",
     "MdpValidationError",

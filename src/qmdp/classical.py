@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import STEP_ROLES, RegisterLayout, TrajectoryRecord, TrajectoryTable
+from .layout import STEP_ROLES, RegisterLayout, TrajectoryTable
 from .mdp import MdpSpec, resolve_start, validated
 
 
@@ -88,9 +88,10 @@ def enumerate_trajectories(
     return TrajectoryTable(layout, prob[order], registers)
 
 
-def expected_return(records: list[TrajectoryRecord]) -> float:
-    """Probability-weighted mean return of an enumerated trajectory set."""
-    return sum(rec.probability * rec.total_return for rec in records)
+def expected_return(table: TrajectoryTable) -> float:
+    """Probability-weighted mean return of an enumerated trajectory table,
+    summed row by row in Python."""
+    return sum((table.probability * table.total_return).tolist())
 
 
 @dataclass(frozen=True)

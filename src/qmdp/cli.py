@@ -30,7 +30,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .classical import QlConfig, enumerate_trajectories, greedy_policy, greedy_rollouts, q_learning
-from .layout import RegisterLayout, decode_trajectory
+from .layout import STEP_ROLES, RegisterLayout
+from .layout import decode_trajectory  # noqa: F401  perfbench/tracer.py wraps cli.decode_trajectory
 from .mdp import _echo, bundled_mdp, load, resolve_start
 from .prepare import build_preparation, simulate_distribution
 from .search import grover_search
@@ -295,18 +296,19 @@ def _resolve_iterations(raw) -> int | None:
     return value
 
 
-def _report_json(prepared, report) -> str:
-    marked = []
-    for state in report.marked:
-        record = decode_trajectory(prepared.layout, state.bitstring)
-        marked.append({
-            "bitstring": state.bitstring,
-            "steps": [list(step) for step in record.steps],
-            "return": record.total_return,
-            "p_before": state.probability_before,
-            "p_after": state.probability_after,
-            "count": state.count,
-        })
+def _report_json(report) -> str:
+    table, counts = report.marked, report.counts
+    bits = table.bitstrings().astype(str).tolist()
+    steps = table.registers[:, :-1].reshape(len(table), table.layout.steps, len(STEP_ROLES)).tolist()
+    rows = zip(bits, steps, table.total_return.tolist(), table.probability.tolist(), report.marked_after.tolist())
+    marked = [{
+        "bitstring": b,
+        "steps": s,
+        "return": total,
+        "p_before": before,
+        "p_after": after,
+        "count": counts.get(b, 0) if counts is not None else None,
+    } for b, s, total, before, after in rows]
     doc = {
         "iterations": report.iterations,
         "p0": report.probability_before,
@@ -349,7 +351,7 @@ def _cmd_search(args) -> int:
         shots=args.shots,
         seed=args.seed,
     )
-    _write_artifact(_report_json(prepared, report), args.out)
+    _write_artifact(_report_json(report), args.out)
     if args.out and report.counts is not None:
         _write_artifact(
             _counts_csv(spec, args.steps, report.counts),

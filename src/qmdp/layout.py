@@ -12,11 +12,13 @@ register as a bit field, its lowest qubit and its width. The accessors, the
 codec and the trajectory table all read that table, by shift and mask.
 Trajectory listings are one :class:`TrajectoryTable`: a probability column
 and a column per register, from which the return column and the printed bit
-strings are derived. Readout and the enumerator both return one, its rows in
-ascending bit string order; its rows iterate as :class:`TrajectoryRecord`.
-:func:`decode_index` and :func:`decode_trajectory` decode one basis index or
-printed string. The module also owns :func:`field_value`,
-:func:`value_pattern` and :func:`pattern_mask`.
+strings are derived. Readout, the search report's marked rows and the
+enumerator all list theirs as one, its rows in ascending bit string order;
+its rows iterate as :class:`TrajectoryRecord`. Only
+:meth:`TrajectoryTable.from_indices` cuts register columns out of basis
+indices. :func:`decode_trajectory` decodes one printed string. The module
+also owns :func:`field_value`, :func:`value_pattern` and
+:func:`pattern_mask`.
 """
 
 from __future__ import annotations
@@ -145,6 +147,13 @@ class TrajectoryTable:
     probability: np.ndarray
     registers: np.ndarray
 
+    @classmethod
+    def from_indices(cls, layout: RegisterLayout, indices: np.ndarray, probability: np.ndarray) -> "TrajectoryTable":
+        """The rows of ascending int64 basis ``indices``, their register
+        columns cut out by shift and mask."""
+        registers = np.stack([(indices >> offset) & ((1 << width) - 1) for offset, width in layout.fields], axis=1)
+        return cls(layout, probability, registers)
+
     def __len__(self) -> int:
         return len(self.probability)
 
@@ -232,28 +241,21 @@ def encode_index(layout: RegisterLayout, steps: list[tuple[int, int, int, int]],
     return index
 
 
-def bitstring_of(layout: RegisterLayout, index: int) -> str:
-    return format(index, f"0{layout.num_qubits}b")
-
-
-def decode_index(layout: RegisterLayout, index: int) -> TrajectoryRecord:
-    """Unpack a basis index into a :class:`TrajectoryRecord`.
+def decode_trajectory(layout: RegisterLayout, bitstring: str) -> TrajectoryRecord:
+    """Decode a printed basis string (most significant qubit first) into a
+    :class:`TrajectoryRecord` that keeps the string as its ``bitstring``.
 
     Without a return register the total return is the sum of step rewards;
     with one it is read from the register bits.
     """
+    if len(bitstring) != layout.num_qubits:
+        raise ValueError(f"bit string length {len(bitstring)} does not match {layout.num_qubits} qubits")
+    if set(bitstring) - {"0", "1"}:
+        raise ValueError(f"bit string must contain only 0 and 1: {bitstring!r}")
+    index = int(bitstring, 2)
     values = [(index >> offset) & ((1 << width) - 1) for offset, width in layout.fields]
     total = values.pop()
     steps = tuple(zip(*[iter(values)] * len(STEP_ROLES)))  # each run of four values is one step
     if not layout.return_bits:
         total = sum(r for _, _, _, r in steps)
-    return TrajectoryRecord(steps, total, bitstring_of(layout, index))
-
-
-def decode_trajectory(layout: RegisterLayout, bitstring: str) -> TrajectoryRecord:
-    """Decode a printed basis string (most significant qubit first)."""
-    if len(bitstring) != layout.num_qubits:
-        raise ValueError(f"bit string length {len(bitstring)} does not match {layout.num_qubits} qubits")
-    if set(bitstring) - {"0", "1"}:
-        raise ValueError(f"bit string must contain only 0 and 1: {bitstring!r}")
-    return decode_index(layout, int(bitstring, 2))
+    return TrajectoryRecord(steps, total, bitstring)

@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .layout import RegisterLayout, TrajectoryTable, value_pattern
 from .layout import decode_trajectory  # noqa: F401  perfbench/tracer.py wraps prepare.decode_trajectory
 from .mdp import MdpSpec, resolve_start, validated
@@ -225,9 +223,9 @@ def simulate_distribution(prepared: PreparedModel, backend: str = "sparse") -> T
     """Run the circuit and read every live basis index into a trajectory table.
 
     Indices and probabilities come from the state's ``live_probabilities()``,
-    and register columns are cut from the indices by shift and mask. Rows
-    keep the indices' ascending order, the enumerator's row order.
+    and :meth:`TrajectoryTable.from_indices` cuts the register columns from
+    the indices. Rows keep the indices' ascending order, the enumerator's row
+    order.
     """
     idx, probability = prepared.prepare_state(backend).live_probabilities()
-    registers = np.stack([(idx >> offset) & ((1 << width) - 1) for offset, width in prepared.layout.fields], axis=1)
-    return TrajectoryTable(prepared.layout, probability, registers)
+    return TrajectoryTable.from_indices(prepared.layout, idx, probability)

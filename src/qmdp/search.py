@@ -6,7 +6,9 @@ uncompute, flip the all-zeros state, flip the global phase, recompute. That
 product is exactly the reflection about the prepared state with eigenvalue
 +1 on it, so after k rounds a marked mass p0 sits at
 sin^2((2k+1) arcsin sqrt(p0)) and the relative weights inside the marked set
-are untouched.
+are untouched. The report lists the marked trajectories as one trajectory
+table, built from their basis indices as readout's is, beside one column of
+their masses after the rounds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .layout import value_pattern
+import numpy as np
+
+from .layout import TrajectoryTable, value_pattern
 from .mdp import _echo
 from .prepare import PreparedModel
 from .sim import ROUND_LIMIT, Circuit
@@ -58,25 +62,19 @@ def iterations_hint(p0: float) -> int:
     return max(1, round(math.pi / (4.0 * theta) - 0.5))
 
 
-@dataclass(frozen=True)
-class MarkedState:
-    """One marked trajectory with its mass before and after amplification."""
-
-    bitstring: str
-    probability_before: float
-    probability_after: float
-    count: int | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchReport:
-    """Everything a run produced: round count, masses, per-state detail,
-    and counts when shots were drawn."""
+    """Everything a run produced: the round count and the marked mass before
+    and after the rounds; ``marked``, the marked trajectories as one table
+    whose probability column holds their masses before the rounds, and
+    ``marked_after``, each row's mass after them; and the drawn counts by
+    bit string when shots were drawn."""
 
     iterations: int
     probability_before: float
     probability_after: float
-    marked: tuple[MarkedState, ...]
+    marked: TrajectoryTable
+    marked_after: np.ndarray
     shots: int = 0
     seed: int | None = None
     counts: dict[str, int] | None = None
@@ -124,22 +122,13 @@ def grover_search(
             state.apply_circuit(grover_round)
     after = dict(state.pattern_items(pattern))
     counts = state.sample(shots, seed) if shots else None
-    marked = []
-    for index, p in before:
-        bits = state.bitstring(index)
-        marked.append(
-            MarkedState(
-                bitstring=bits,
-                probability_before=p,
-                probability_after=after.get(index, 0.0),
-                count=counts.get(bits, 0) if counts is not None else None,
-            )
-        )
+    indices = np.array([index for index, _ in before], dtype=np.int64)
     return SearchReport(
         iterations=rounds,
         probability_before=p0,
         probability_after=sum(after.values()),
-        marked=tuple(marked),
+        marked=TrajectoryTable.from_indices(prepared.layout, indices, np.array([p for _, p in before])),
+        marked_after=np.array([after.get(index, 0.0) for index, _ in before]),
         shots=shots,
         seed=seed,
         counts=counts,

@@ -164,8 +164,8 @@ def test_c4_scenario_one_search():
     by_count = sorted(report_obj.counts.items(), key=lambda kv: -kv[1])
     top_two = {bits for bits, _ in by_count[:2]}
     top_ok = top_two == set(SCENARIO_ONE_MARKED)
-    big = marked["1000111111111111101010000"].count
-    small = marked["1000111101111111101010000"].count
+    big = report_obj.counts.get("1000111111111111101010000", 0)
+    small = report_obj.counts.get("1000111101111111101010000", 0)
     ratio = big / small
     ratio_ok = 2.0 * 0.65 <= ratio <= 2.0 * 1.35
 

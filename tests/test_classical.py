@@ -24,7 +24,7 @@ from qmdp.classical import (
     q_update,
     value_iteration,
 )
-from qmdp.layout import RegisterLayout, TrajectoryRecord, bitstring_of, decode_trajectory
+from qmdp.layout import RegisterLayout, TrajectoryRecord, TrajectoryTable, decode_trajectory
 from qmdp.mdp import resolve_start
 from qmdp.mdp import MdpSpec, Transition
 
@@ -71,7 +71,8 @@ def test_top_return_records_from_fixed_start(bundled):
 
 
 def test_expected_return_values(bundled):
-    single = [TrajectoryRecord(steps=((0, 0, 0, 5),), total_return=5, bitstring="x", probability=1.0)]
+    layout = RegisterLayout(state_bits=1, action_bits=1, reward_bits=3, steps=1, return_bits=3)
+    single = TrajectoryTable(layout, np.array([1.0]), np.array([[0, 0, 0, 5, 5]]))
     assert expected_return(single) == 5
     uniform3 = enumerate_trajectories(bundled, 3, None)
     assert expected_return(uniform3) == pytest.approx(5.3171875, abs=1e-12)
@@ -155,8 +156,8 @@ def python_frontier(spec, steps, initial, include_return=True):
             for state, prob, ret, index, path in frontier
             for step, p, r, bits in edges[state]
         ]
-    ret_at, ret_mask = fields[-1][0], (1 << layout.return_bits) - 1
-    records = (TrajectoryRecord(path, ret, bitstring_of(layout, index | (ret & ret_mask) << ret_at), prob)
+    ret_at, ret_mask, digits = fields[-1][0], (1 << layout.return_bits) - 1, f"0{layout.num_qubits}b"
+    records = (TrajectoryRecord(path, ret, format(index | (ret & ret_mask) << ret_at, digits), prob)
                for _, prob, ret, index, path in frontier)
     return sorted(records, key=lambda rec: rec.bitstring)
 

@@ -9,8 +9,7 @@ from qmdp.layout import (
     STEP_ROLES,
     RegisterLayout,
     TrajectoryRecord,
-    bitstring_of,
-    decode_index,
+    TrajectoryTable,
     decode_trajectory,
     encode_index,
     field_value,
@@ -19,6 +18,10 @@ from qmdp.layout import (
 from qmdp.mdp import bundled_mdp
 
 from conftest import random_mdp
+
+
+def bits_of(layout, index):
+    return format(index, f"0{layout.num_qubits}b")
 
 
 def test_bundled_layout_sizes(bundled):
@@ -64,7 +67,7 @@ def test_known_trajectory_string_round_trips(bundled):
     layout = RegisterLayout.for_mdp(bundled, 3)
     steps = ((0, 0, 2, 2), (2, 1, 3, 3), (3, 1, 3, 3))
     index = encode_index(layout, steps, 8)
-    bits = bitstring_of(layout, index)
+    bits = bits_of(layout, index)
     assert bits == "1000111111111111101010000"
     decoded = decode_trajectory(layout, bits)
     assert decoded.steps == steps
@@ -107,10 +110,8 @@ def test_random_round_trips():
             total += r
         steps = tuple(steps)
         index = encode_index(layout, steps, total)
-        decoded = decode_index(layout, index)
-        assert (decoded.steps, decoded.total_return) == (steps, total)
-        rec = decode_trajectory(layout, bitstring_of(layout, index))
-        assert (rec.steps, rec.total_return) == (steps, total)
+        rec = decode_trajectory(layout, bits_of(layout, index))
+        assert (rec.steps, rec.total_return, rec.bitstring) == (steps, total, bits_of(layout, index))
         batches.setdefault(layout, []).append(index)
     # one field_value call per register decodes a whole array of indices
     for layout, indices in batches.items():
@@ -159,7 +160,7 @@ def test_zero_reward_model_has_no_reward_bits():
     assert layout.reward_qubits(0) == []
     steps = ((0, 0, 1, 0), (1, 1, 0, 0))
     index = encode_index(layout, steps, 0)
-    decoded = decode_index(layout, index)
+    decoded = decode_trajectory(layout, bits_of(layout, index))
     assert (decoded.steps, decoded.total_return) == (steps, 0)
 
 
@@ -179,7 +180,9 @@ def test_field_codec_matches_per_qubit_gather(seed, num_states, num_actions, max
     spec = random_mdp(np.random.default_rng(seed), num_states, num_actions, max_reward)
     layout = RegisterLayout.for_mdp(spec, steps, include_return=include_return)
     index = data.draw(st.integers(0, (1 << layout.num_qubits) - 1))
-    record = decode_index(layout, index)
+    record = decode_trajectory(layout, bits_of(layout, index))
+    [row] = TrajectoryTable.from_indices(layout, np.array([index], dtype=np.int64), np.ones(1))
+    assert row == TrajectoryRecord(record.steps, record.total_return, record.bitstring, 1.0)
     gathered = tuple(
         tuple(field_value(index, layout.register_qubits(role, t)) for role in STEP_ROLES)
         for t in range(steps)

@@ -537,6 +537,20 @@ def test_a_partly_flagged_state_reads_out_like_a_fully_busy_one(monkeypatch):
     assert state.sample(5000, seed=3) == busy.sample(5000, seed=3)
 
 
+def test_a_pair_whose_busy_half_reads_zeros_is_skipped(monkeypatch):
+    # Row 0 pairs with flagged row 1 (target qubit 2 lies above a 4-amplitude
+    # row), and the control on qubit 0 selects only zeros of row 0: the pair
+    # is skipped, so row 1 is never read. A NaN planted in it would spread to
+    # row 0 and unflag row 1 if the pass ran.
+    monkeypatch.setattr(sim, "CHUNK_QUBITS", 2)
+    state = DenseState(4)
+    assert state._zero == [False, True, True, True]
+    state._amps[5] = np.nan  # row 1, an entry the control selects
+    state.apply(Gate("h", 2, controls=((0, 1),)))
+    assert state._amps[:4].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert state._zero == [False, True, True, True]
+
+
 @pytest.mark.parametrize("initial", [0, "uniform"], ids=["fixed-0", "uniform"])
 def test_dense_grover_rounds_keep_the_row_skip(monkeypatch, initial):
     # The diffuser ends in a global flip; rows of zeros stay flagged through
