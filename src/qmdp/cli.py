@@ -232,10 +232,9 @@ def _transition_table_text(table, fmt: str) -> str:
     # (state, action) mass, summed in the table's ascending bit string (basis
     # index) order, the fixed reduction order of the simulator.
     mass, joint = {}, {}
-    for record in table:
-        ((s, a, nxt, _),) = record.steps
-        mass[s, a] = mass.get((s, a), 0.0) + record.probability
-        joint[s, a, nxt] = record.probability
+    for (s, a, nxt), p in zip(table.registers[:, :3].tolist(), table.probability.tolist()):
+        mass[s, a] = mass.get((s, a), 0.0) + p
+        joint[s, a, nxt] = p
     rows = [(s, a, nxt, p / mass[s, a]) for (s, a, nxt), p in sorted(joint.items())]
     if fmt == "json":
         return _json_text([{"state": s, "action": a, "next": n, "prob": p} for s, a, n, p in rows])

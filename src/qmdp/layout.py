@@ -17,8 +17,7 @@ enumerator all list theirs as one, its rows in ascending bit string order;
 its rows iterate as :class:`TrajectoryRecord`. Only
 :meth:`TrajectoryTable.from_indices` cuts register columns out of basis
 indices. :func:`decode_trajectory` decodes one printed string. The module
-also owns :func:`field_value`, :func:`value_pattern` and
-:func:`pattern_mask`.
+also owns :func:`value_pattern` and :func:`pattern_mask`.
 """
 
 from __future__ import annotations
@@ -183,18 +182,6 @@ class TrajectoryTable:
             bits[:, offset:offset + width] = values[:, None] >> np.arange(width) & 1
         text = bits[:, ::-1] + ord("0")
         return text.view(f"S{layout.num_qubits}").ravel()
-
-
-def field_value(index, qubits: list[int]):
-    """Read a register value out of a basis index (qubits listed LSB first).
-
-    ``index`` may be an int or a numpy integer array; an array decodes
-    element-wise into an array of values.
-    """
-    value = index & 0  # a zero of the index's own type and shape
-    for j, q in enumerate(qubits):
-        value |= ((index >> q) & 1) << j
-    return value
 
 
 def _does_not_fit(value: int, width: int) -> ValueError:

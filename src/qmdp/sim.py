@@ -24,10 +24,10 @@ which caps its width at 63 qubits.
 
 Determinism contract: readouts start from ``nonzero()``, the live entries by
 ascending basis index, and take probabilities from ``live_probabilities()``
-alone. Reductions (norm, marginals, sampling) accumulate in that order, and
-sampling uses an inverse-CDF walk driven by ``numpy.random.default_rng(seed)``
-and refuses a missing seed, so identical (amplitudes, shots, seed) give
-identical counts on either backend. The kernels are sequential.
+alone. Sampling accumulates in that order with an inverse-CDF walk driven
+by ``numpy.random.default_rng(seed)`` and refuses a missing seed, so
+identical (amplitudes, shots, seed) give identical counts on either backend.
+The kernels are sequential.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import field_value, pattern_mask
+from .layout import pattern_mask
 from .mdp import _echo
 
 H = "h"
@@ -220,9 +220,6 @@ class _StateBase:
         idx, amps = self.nonzero()
         return idx, np.float_power(np.abs(amps), 2)
 
-    def norm(self) -> float:
-        return float(np.sum(self.live_probabilities()[1]))
-
     def nonzero_items(self) -> list[tuple[int, float]]:
         """(basis index, amplitude) pairs, ascending index."""
         idx, amps = self.nonzero()
@@ -240,27 +237,6 @@ class _StateBase:
         idx, probs = self.live_probabilities()
         hit = (idx & mask) == want
         return list(zip(idx[hit].tolist(), probs[hit].tolist()))
-
-    def pattern_probability(self, pattern: Controls) -> float:
-        return float(sum(p for _, p in self.pattern_items(pattern)))
-
-    def marginal(self, qubits: list[int]) -> dict[int, float]:
-        """Distribution over the values of an ordered qubit subset.
-
-        ``qubits[j]`` contributes bit j of the key, so a register listed
-        least-significant-first maps to its plain integer value. Only
-        patterns with nonzero probability appear.
-        """
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("marginal qubits must be distinct")
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} outside register of {self.num_qubits}")
-        idx, probs = self.live_probabilities()
-        out: dict[int, float] = {}
-        for key, p in zip(field_value(idx, qubits).tolist(), probs.tolist()):  # ascending index: fixed order
-            out[key] = out.get(key, 0.0) + p
-        return dict(sorted(out.items()))
 
     def sample(self, shots: int, seed: int) -> dict[str, int]:
         """Seeded counts by inverse CDF, keyed by bit string in ascending basis
@@ -280,12 +256,6 @@ class _StateBase:
         picks = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
         tally = np.bincount(picks, minlength=len(cum))
         return {self.bitstring(int(idx[p])): int(tally[p]) for p in np.flatnonzero(tally).tolist()}
-
-    def dump(self) -> str:
-        """One line per nonzero amplitude: ``<bitstring> <re> <im>``, where the
-        imaginary part of a real state is always ``0.0``."""
-        lines = [f"{self.bitstring(i)} {a!r} 0.0" for i, a in self.nonzero_items()]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 class DenseState(_StateBase):

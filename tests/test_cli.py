@@ -90,19 +90,29 @@ def test_simulate_shots_sum_and_columns(capsys, tmp_path):
     assert header == "bitstring,return,prob,count,s0,a0,sp0,r0"
 
 
-def test_simulate_t1_writes_transition_sibling(capsys, tmp_path):
+T1_MODELS = {"bundled": bundled_mdp()} | {
+    f"random-{states}s{actions}a": random_mdp(np.random.default_rng(10 * states + actions), states, actions)
+    for states in (2, 4, 8) for actions in (1, 2)
+}
+
+
+@pytest.mark.parametrize("start", ["uniform", "fixed:0"])
+@pytest.mark.parametrize("model", list(T1_MODELS))
+def test_simulate_t1_writes_transition_sibling(capsys, tmp_path, model, start):
+    # the sibling lists the model's own P(next | state, action) rows, those
+    # of state 0 alone under a fixed start
+    spec = T1_MODELS[model]
+    path = tmp_path / "model.json"
+    path.write_text(save(spec), encoding="utf-8")
     out = tmp_path / "traj.csv"
-    code, _, _ = run(capsys, "simulate", "--steps", "1", "--start", "uniform", "--out", str(out))
+    code, _, _ = run(capsys, "simulate", "--mdp", str(path), "--steps", "1", "--start", start, "--out", str(out))
     assert code == 0
-    sibling = tmp_path / "traj_transitions.csv"
-    rows = csv_rows(read(sibling))
+    rows = csv_rows(read(tmp_path / "traj_transitions.csv"))
     table = {(int(r["state"]), int(r["action"]), int(r["next"])): float(r["prob"]) for r in rows}
-    assert math.isclose(table[(0, 0, 1)], 0.6, abs_tol=1e-9)
-    assert math.isclose(table[(0, 0, 2)], 0.4, abs_tol=1e-9)
-    assert math.isclose(table[(3, 1, 3)], 1.0, abs_tol=1e-9)
-    for (s, a, _), _ in table.items():
-        mass = sum(p for (s2, a2, _), p in table.items() if (s2, a2) == (s, a))
-        assert math.isclose(mass, 1.0, abs_tol=1e-9)
+    want = {(s, a, nxt): p for (s, a), row in spec.successors.items() for nxt, p in row
+            if start == "uniform" or s == 0}
+    assert table.keys() == want.keys()
+    assert all(abs(table[key] - want[key]) <= 1e-12 for key in want)
 
 
 def test_simulate_no_sibling_for_t3(capsys, tmp_path):

@@ -12,7 +12,6 @@ from qmdp.layout import (
     TrajectoryTable,
     decode_trajectory,
     encode_index,
-    field_value,
     value_pattern,
 )
 from qmdp.mdp import bundled_mdp
@@ -113,21 +112,12 @@ def test_random_round_trips():
         rec = decode_trajectory(layout, bits_of(layout, index))
         assert (rec.steps, rec.total_return, rec.bitstring) == (steps, total, bits_of(layout, index))
         batches.setdefault(layout, []).append(index)
-    # one field_value call per register decodes a whole array of indices
+    # one from_indices call cuts a whole array of indices into the scalar decode's records
     for layout, indices in batches.items():
-        batch = np.array(indices, dtype=np.int64)
-        registers = [layout.return_qubits()]
-        for t in range(layout.steps):
-            registers += [layout.register_qubits(role, t) for role in ("state", "action", "next", "reward")]
-        for qubits in registers:
-            values = field_value(batch, qubits)
-            assert values.tolist() == [field_value(index, qubits) for index in indices]
-
-
-def test_field_value_reads_register_bits():
-    # value 6 on qubits [1, 3, 5] means bits 0,1,1 at those positions
-    index = (1 << 3) | (1 << 5)
-    assert field_value(index, [1, 3, 5]) == 6
+        indices = sorted(indices)
+        table = TrajectoryTable.from_indices(layout, np.array(indices, dtype=np.int64), np.ones(len(indices)))
+        records = [decode_trajectory(layout, bits_of(layout, index)) for index in indices]
+        assert list(table) == [TrajectoryRecord(r.steps, r.total_return, r.bitstring, 1.0) for r in records]
 
 
 def test_encode_rejects_out_of_range(bundled):
@@ -183,13 +173,14 @@ def test_field_codec_matches_per_qubit_gather(seed, num_states, num_actions, max
     record = decode_trajectory(layout, bits_of(layout, index))
     [row] = TrajectoryTable.from_indices(layout, np.array([index], dtype=np.int64), np.ones(1))
     assert row == TrajectoryRecord(record.steps, record.total_return, record.bitstring, 1.0)
-    gathered = tuple(
-        tuple(field_value(index, layout.register_qubits(role, t)) for role in STEP_ROLES)
-        for t in range(steps)
-    )
+
+    def gather(qubits):
+        return sum(((index >> q) & 1) << j for j, q in enumerate(qubits))
+
+    gathered = tuple(tuple(gather(layout.register_qubits(role, t)) for role in STEP_ROLES) for t in range(steps))
     assert record.steps == gathered
     if layout.return_bits:
-        assert record.total_return == field_value(index, layout.return_qubits())
+        assert record.total_return == gather(layout.return_qubits())
     else:
         assert record.total_return == sum(r for _, _, _, r in gathered)
     assert encode_index(layout, record.steps, record.total_return) == index

@@ -83,14 +83,12 @@ def test_single_step_support_is_exactly_fifteen(bundled):
 
 def test_single_step_conditionals(bundled):
     prepared = build_preparation(bundled, 1, initial="uniform", include_return=False)
-    state = prepared.prepare_state("dense")
-    layout = prepared.layout
+    table = simulate_distribution(prepared, "dense")
+    states, actions, nexts = table.registers[:, :3].T
 
     def conditional(s, a, nxt):
-        given = tuple((q, (s >> j) & 1) for j, q in enumerate(layout.state_qubits(0)))
-        given += tuple((q, (a >> j) & 1) for j, q in enumerate(layout.action_qubits(0)))
-        joint = given + tuple((q, (nxt >> j) & 1) for j, q in enumerate(layout.next_qubits(0)))
-        return state.pattern_probability(joint) / state.pattern_probability(given)
+        given = (states == s) & (actions == a)
+        return table.probability[given & (nexts == nxt)].sum() / table.probability[given].sum()
 
     assert conditional(0, 0, 1) == pytest.approx(0.6, abs=1e-9)
     assert conditional(0, 0, 2) == pytest.approx(0.4, abs=1e-9)
@@ -98,18 +96,18 @@ def test_single_step_conditionals(bundled):
 
 
 def test_start_and_action_marginals(bundled):
-    layout_probe = build_preparation(bundled, 2, initial="uniform")
-    state = layout_probe.prepare_state("sparse")
-    layout = layout_probe.layout
-    start = state.marginal(layout.state_qubits(0))
-    assert start == pytest.approx({0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}, abs=1e-12)
+    prepared = build_preparation(bundled, 2, initial="uniform")
+    table = simulate_distribution(prepared, "sparse")
+    start = np.bincount(table.registers[:, 0], weights=table.probability)
+    assert start.tolist() == pytest.approx([0.25, 0.25, 0.25, 0.25], abs=1e-12)
     for t in range(2):
-        for q in layout.action_qubits(t):
-            assert state.marginal([q]) == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
+        actions = table.registers[:, 4 * t + 1]
+        for j in range(prepared.layout.action_bits):
+            bit = np.bincount(actions >> j & 1, weights=table.probability)
+            assert bit.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
 
-    fixed = build_preparation(bundled, 1, initial=2)
-    fixed_state = fixed.prepare_state("sparse")
-    assert fixed_state.marginal(fixed.layout.state_qubits(0)) == pytest.approx({2: 1.0})
+    fixed = simulate_distribution(build_preparation(bundled, 1, initial=2), "sparse")
+    assert np.bincount(fixed.registers[:, 0], weights=fixed.probability).tolist() == pytest.approx([0.0, 0.0, 1.0])
 
 
 def test_bundled_distributions_match_enumerator(bundled):
@@ -203,9 +201,7 @@ def test_amplitudes_are_real_and_non_negative(bundled):
 
 def test_return_register_expectation_matches_classical(bundled):
     prepared = build_preparation(bundled, 3, initial="uniform")
-    state = prepared.prepare_state("sparse")
-    marg = state.marginal(prepared.layout.return_qubits())
-    quantum = sum(value * p for value, p in marg.items())
+    quantum = expected_return(simulate_distribution(prepared, "sparse"))
     classical = expected_return(enumerate_trajectories(bundled, 3, None))
     assert quantum == pytest.approx(classical, abs=1e-9)
 
@@ -234,29 +230,17 @@ def test_reward_marking_general_table():
     spec = MdpSpec(4, 2, tuple(
         Transition(s, a, (s + 1 + a) % 4, 1.0) for s in range(4) for a in range(2)
     ), (0, 3, 1, 2))
-    prepared = build_preparation(spec, 1, initial=0)
-    state = prepared.prepare_state("sparse")
-    layout = prepared.layout
+    table = simulate_distribution(build_preparation(spec, 1, initial=0), "sparse")
+    actions, rewards = table.registers[:, 1], table.registers[:, 3]
     # from s0: a0 lands s1 (reward 3 = '11'), a1 lands s2 (reward 1 = '01')
     for a, nxt, reward in ((0, 1, 3), (1, 2, 1)):
-        pattern = tuple((q, (a >> j) & 1) for j, q in enumerate(layout.action_qubits(0)))
-        pattern += tuple((q, (reward >> j) & 1) for j, q in enumerate(layout.reward_qubits(0)))
-        assert state.pattern_probability(pattern) == pytest.approx(0.5, abs=1e-12)
+        assert table.probability[(actions == a) & (rewards == reward)].sum() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_chained_state_registers_always_agree(bundled):
-    prepared = build_preparation(bundled, 2, initial="uniform")
-    state = prepared.prepare_state("sparse")
-    layout = prepared.layout
-    mismatch = 0.0
-    for value in range(4):
-        for other in range(4):
-            if value == other:
-                continue
-            pattern = tuple((q, (value >> j) & 1) for j, q in enumerate(layout.next_qubits(0)))
-            pattern += tuple((q, (other >> j) & 1) for j, q in enumerate(layout.state_qubits(1)))
-            mismatch += state.pattern_probability(pattern)
-    assert mismatch == 0.0
+    # step 0's next state (column 2) is step 1's state (column 4) on every live row
+    table = simulate_distribution(build_preparation(bundled, 2, initial="uniform"), "sparse")
+    assert table.registers[:, 2].tolist() == table.registers[:, 4].tolist()
 
 
 def test_zero_reward_model_compiles(bundled):
@@ -287,7 +271,6 @@ def test_probability_column_is_abs_squared_per_entry(bundled, monkeypatch):
     want = [(i, abs(amps[i]) ** 2) for i in range(count)]
     assert list(state.probabilities().items()) == [(state.bitstring(i), p) for i, p in want]
     assert state.pattern_items(()) == want
-    assert list(state.marginal(list(range(state.num_qubits))).items()) == want  # one entry per key
     # sampling walks the cumulative sum of the same column, in ascending index order
     cum = np.cumsum(table.probability[np.argsort(indices)])
     u = np.random.default_rng(5).random(1000) * cum[-1]

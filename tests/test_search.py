@@ -282,8 +282,11 @@ def test_amplification_matches_the_enumerator_on_random_models(seed, num_states,
         spec = near_certain(spec, rng)
     catalog = enumerate_trajectories(spec, steps, start)
     assume(len(catalog) <= 4096)  # keeps an example to a fraction of a second
-    target = data.draw(st.sampled_from(sorted(set(catalog.total_return.tolist()))))
     prepared = build_preparation(spec, steps, initial=start)
+    # every return some row has, and the smallest register value none has
+    returns = set(catalog.total_return.tolist())
+    unreachable = [value for value in range(1 << prepared.layout.return_bits) if value not in returns][:1]
+    target = data.draw(st.sampled_from(sorted(returns) + unreachable))
     report = grover_search(prepared, target, iterations=rounds)
     want = {bits: p for bits, p, total in zip(catalog.bitstrings().astype(str).tolist(), catalog.probability.tolist(),
                                               catalog.total_return.tolist()) if total == target}

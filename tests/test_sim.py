@@ -137,8 +137,8 @@ def test_random_circuits_agree_across_backends():
         dense = prepare_zero(n, "dense").apply_circuit(circuit)
         sparse = prepare_zero(n, "sparse").apply_circuit(circuit)
         np.testing.assert_allclose(as_vector(dense, n), as_vector(sparse, n), atol=1e-12)
-        assert abs(dense.norm() - 1.0) < 1e-12
-        assert abs(sparse.norm() - 1.0) < 1e-12
+        assert abs(dense.live_probabilities()[1].sum() - 1.0) < 1e-12
+        assert abs(sparse.live_probabilities()[1].sum() - 1.0) < 1e-12
 
 
 def test_inverse_circuit_round_trips():
@@ -164,8 +164,8 @@ def test_single_gate_preserves_norm(seed):
     gate = random_gate(rng, n)
     vec = random_vector(rng, n)
     dense, sparse = load_states(vec, n)
-    assert abs(dense.apply(gate).norm() - 1.0) < 1e-12
-    assert abs(sparse.apply(gate).norm() - 1.0) < 1e-12
+    assert abs(dense.apply(gate).live_probabilities()[1].sum() - 1.0) < 1e-12
+    assert abs(sparse.apply(gate).live_probabilities()[1].sum() - 1.0) < 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,24 +234,10 @@ def test_flip_with_empty_pattern_is_global_minus_one():
     assert amps[1].real == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
 
 
-def test_marginal_orders_bits_by_position_in_list():
-    state = prepare_zero(3, "dense").apply(Gate("x", 2)).apply(Gate("h", 0))
-    # qubit 2 is set, qubit 0 uniform, qubit 1 clear
-    assert state.marginal([2]) == {1: pytest.approx(1.0)}
-    assert state.marginal([0, 2]) == {
-        2: pytest.approx(0.5),
-        3: pytest.approx(0.5),
-    }
-    assert state.marginal([2, 0]) == {
-        1: pytest.approx(0.5),
-        3: pytest.approx(0.5),
-    }
-
-
 def test_pattern_probability_sums_matching_states():
     state = prepare_zero(2, "sparse").apply(Gate("h", 0)).apply(Gate("h", 1))
-    assert state.pattern_probability(((0, 1),)) == pytest.approx(0.5, abs=1e-12)
-    assert state.pattern_probability(()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(p for _, p in state.pattern_items(((0, 1),))) == pytest.approx(0.5, abs=1e-12)
+    assert sum(p for _, p in state.pattern_items(())) == pytest.approx(1.0, abs=1e-12)
     items = state.pattern_items(((1, 0),))
     assert [i for i, _ in items] == [0b00, 0b01]
 
@@ -261,14 +247,6 @@ def test_sample_counts_match_distribution_roughly():
     counts = state.sample(10000, seed=5)
     assert set(counts) == {"00", "01"}
     assert abs(counts["00"] / 10000 - 0.5) < 0.05
-
-
-def test_dump_lists_nonzero_amplitudes_in_order():
-    state = prepare_zero(2, "sparse").apply(Gate("h", 1))
-    lines = state.dump().splitlines()
-    assert lines[0].startswith("00 ") and lines[1].startswith("10 ")
-    value = float(lines[0].split()[1])
-    assert value == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 def test_format_circuit_round_trips_key_fields():
@@ -348,12 +326,12 @@ def test_sparse_preparation_matches_dict_kernel_bytewise(spec, steps, initial):
 
 
 def test_flip_leaves_the_same_signed_zeros_on_both_backends():
-    dumps = [
-        prepare_zero(2, backend).apply(Gate("h", 0)).apply(Gate("flip", controls=((0, 1),))).dump()
+    items = [
+        prepare_zero(2, backend).apply(Gate("h", 0)).apply(Gate("flip", controls=((0, 1),))).nonzero_items()
         for backend in ("sparse", "dense")
     ]
-    assert dumps[0] == dumps[1]
-    assert dumps[0].splitlines()[1] == "01 -0.7071067811865475 0.0"
+    assert items[0] == items[1]
+    assert items[0][1] == (0b01, -0.7071067811865475)
 
 
 def signed_zero_vector(rng, n):
@@ -372,7 +350,7 @@ def value_bytes(amps):
 
 
 def test_both_backends_drop_given_zeros_of_either_sign():
-    assert SparseState(2, {0: 1.0, 1: 0.0, 2: -0.0}).dump() == "00 1.0 0.0\n"
+    assert SparseState(2, {0: 1.0, 1: 0.0, 2: -0.0}).nonzero_items() == [(0, 1.0)]
     rng = np.random.default_rng(43)
     for n in range(1, 8):
         vec = signed_zero_vector(rng, n)
@@ -655,7 +633,8 @@ def test_sparse_capacity_is_enforced():
     top = SPARSE_QUBIT_LIMIT - 1
     state = prepare_zero(SPARSE_QUBIT_LIMIT, "sparse").apply(Gate("h", top)).apply(Gate("x", 0, controls=((top, 1),)))
     assert [i for i, _ in state.nonzero_items()] == [0, (1 << top) | 1]
-    assert state.marginal([top]) == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
+    assert state.pattern_items(((top, 0),)) == [(0, pytest.approx(0.5))]
+    assert state.pattern_items(((top, 1),)) == [((1 << top) | 1, pytest.approx(0.5))]
 
 
 def test_unknown_backend_is_rejected():
@@ -686,14 +665,6 @@ def test_sample_refuses_a_missing_seed(backend):
     assert all(isinstance(n, int) and n > 0 for n in counts.values())
 
 
-def test_marginal_rejects_bad_qubits():
-    state = prepare_zero(2, "dense")
-    with pytest.raises(ValueError):
-        state.marginal([0, 0])
-    with pytest.raises(ValueError):
-        state.marginal([3])
-
-
 def test_full_scale_circuits_stay_unit_norm_and_agree():
     # 12 qubits, 200 gates: the largest size the dense reference budget
     # covers. Norm must hold to 1e-9 and both kernels must agree pointwise.
@@ -706,8 +677,8 @@ def test_full_scale_circuits_stay_unit_norm_and_agree():
         sparse = prepare_zero(12, "sparse")
         dense.apply_circuit(circuit)
         sparse.apply_circuit(circuit)
-        assert abs(dense.norm() - 1.0) < 1e-9
-        assert abs(sparse.norm() - 1.0) < 1e-9
+        assert abs(dense.live_probabilities()[1].sum() - 1.0) < 1e-9
+        assert abs(sparse.live_probabilities()[1].sum() - 1.0) < 1e-9
         assert np.max(np.abs(as_vector(dense, 12) - as_vector(sparse, 12))) < 1e-9
 
 
