@@ -8,16 +8,17 @@ T-1 down to step 0, each step as reward | next | action | state. This module
 is pure bookkeeping; it knows nothing about gates or amplitudes.
 
 Register geometry has one owner, :attr:`RegisterLayout.fields`: every
-register as a bit field, its lowest qubit and its width. The accessors, the
-codec and the trajectory table all read that table, by shift and mask.
+register as a bit field, its lowest qubit and its width.
+:meth:`RegisterLayout.register_qubits` lists one field's qubits, and the
+trajectory table reads the fields by shift and mask.
 Trajectory listings are one :class:`TrajectoryTable`: a probability column
 and a column per register, from which the return column and the printed bit
 strings are derived. Readout, the search report's marked rows and the
 enumerator all list theirs as one, its rows in ascending bit string order;
 its rows iterate as :class:`TrajectoryRecord`. Only
 :meth:`TrajectoryTable.from_indices` cuts register columns out of basis
-indices. :func:`decode_trajectory` decodes one printed string. The module
-also owns :func:`value_pattern` and :func:`pattern_mask`.
+indices. :func:`decode_trajectory` decodes one printed string, and
+:func:`value_pattern` turns a register value into a gate-control pattern.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from .mdp import MdpSpec, _echo
 
 STEP_ROLES = ("state", "action", "next", "reward")
-ROLES = STEP_ROLES + ("return",)
 
 
 def _bits_for_states(count: int) -> int:
@@ -66,13 +66,11 @@ class RegisterLayout:
             return_bits=n_g,
         )
 
-    @property
-    def step_width(self) -> int:
-        return 2 * self.state_bits + self.action_bits + self.reward_bits
-
     @cached_property
     def num_qubits(self) -> int:
-        return self.steps * self.step_width + self.return_bits
+        # A sum, not a walk of ``fields``: the CLI refuses a width before
+        # compiling, at step counts whose fields would fill memory.
+        return self.steps * (2 * self.state_bits + self.action_bits + self.reward_bits) + self.return_bits
 
     @cached_property
     def fields(self) -> tuple[tuple[int, int], ...]:
@@ -84,33 +82,17 @@ class RegisterLayout:
         return tuple(zip(accumulate(widths, initial=0), widths))
 
     def register_qubits(self, role: str, step: int = 0) -> list[int]:
-        """Qubits of a named register, least significant first; roles are
-        :data:`ROLES`, and the step of the return register is ignored."""
-        if role not in ROLES:
-            raise ValueError(f"unknown register role {role!r}")
+        """Qubits of a named register, least significant first; a role is one
+        of :data:`STEP_ROLES` or ``"return"``, whose step is ignored."""
         if role == "return":
             offset, width = self.fields[-1]
+        elif role not in STEP_ROLES:
+            raise ValueError(f"unknown register role {role!r}")
         elif 0 <= step < self.steps:
             offset, width = self.fields[step * len(STEP_ROLES) + STEP_ROLES.index(role)]
         else:
             raise ValueError(f"step {step} outside [0, {self.steps})")
         return list(range(offset, offset + width))
-
-    def state_qubits(self, step: int) -> list[int]:
-        """Qubits of the step's current-state register, least significant first."""
-        return self.register_qubits("state", step)
-
-    def action_qubits(self, step: int) -> list[int]:
-        return self.register_qubits("action", step)
-
-    def next_qubits(self, step: int) -> list[int]:
-        return self.register_qubits("next", step)
-
-    def reward_qubits(self, step: int) -> list[int]:
-        return self.register_qubits("reward", step)
-
-    def return_qubits(self) -> list[int]:
-        return self.register_qubits("return")
 
 
 @dataclass(frozen=True)
@@ -184,48 +166,12 @@ class TrajectoryTable:
         return text.view(f"S{layout.num_qubits}").ravel()
 
 
-def _does_not_fit(value: int, width: int) -> ValueError:
-    return ValueError(f"value {_echo(value)} does not fit a {width}-bit register")
-
-
 def value_pattern(qubits: list[int], value: int) -> tuple[tuple[int, int], ...]:
     """(qubit, bit) pairs matching exactly the basis states that hold
     ``value`` on ``qubits`` (LSB first)."""
     if not 0 <= value < 1 << len(qubits):
-        raise _does_not_fit(value, len(qubits))
+        raise ValueError(f"value {_echo(value)} does not fit a {len(qubits)}-bit register")
     return tuple((q, (value >> j) & 1) for j, q in enumerate(qubits))
-
-
-def pattern_mask(pattern) -> tuple[int, int]:
-    """``(mask, want)`` such that ``index & mask == want`` exactly when the
-    basis index matches every (qubit, bit) pair of ``pattern``."""
-    mask = want = 0
-    for q, b in pattern:
-        mask |= 1 << q
-        if b:
-            want |= 1 << q
-    return mask, want
-
-
-def encode_index(layout: RegisterLayout, steps: list[tuple[int, int, int, int]], total_return: int) -> int:
-    """Pack per-step tuples and the return value into a basis index.
-
-    Without a return register the total is not stored; it only has to be
-    non-negative.
-    """
-    if len(steps) != layout.steps:
-        raise ValueError(f"expected {layout.steps} steps, got {len(steps)}")
-    values = [value for step in steps for value in step]
-    if layout.return_bits:
-        values.append(total_return)
-    elif total_return < 0:
-        raise ValueError(f"return {total_return} is negative")
-    index = 0
-    for value, (offset, width) in zip(values, layout.fields):
-        if not 0 <= value < 1 << width:
-            raise _does_not_fit(value, width)
-        index |= value << offset
-    return index
 
 
 def decode_trajectory(layout: RegisterLayout, bitstring: str) -> TrajectoryRecord:

@@ -86,7 +86,7 @@ def build_init(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec) -> None:
     power-of-two state count (a uniform start over any other count has no
     defined encoding here and is rejected); an integer pins the start.
     """
-    qubits = layout.state_qubits(0)
+    qubits = layout.register_qubits("state", 0)
     if spec.initial is None:
         if spec.num_states & (spec.num_states - 1):
             raise ValueError(
@@ -99,7 +99,7 @@ def build_init(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec) -> None:
             if bit:
                 circuit.x(q)
     for t in range(layout.steps):
-        for q in layout.action_qubits(t)[: (spec.num_actions - 1).bit_length()]:
+        for q in layout.register_qubits("action", t)[: (spec.num_actions - 1).bit_length()]:
             circuit.h(q)
 
 
@@ -109,9 +109,9 @@ def build_transition(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, st
     Each (state, action) pair contributes one rotation tree on the landing
     register, controlled on the full state and action patterns of the step.
     """
-    state_qubits = layout.state_qubits(step)
-    action_qubits = layout.action_qubits(step)
-    next_qubits = layout.next_qubits(step)
+    state_qubits = layout.register_qubits("state", step)
+    action_qubits = layout.register_qubits("action", step)
+    next_qubits = layout.register_qubits("next", step)
     size = 1 << layout.state_bits
     for (s, a), row in spec.successors.items():
         probs = [0.0] * size
@@ -123,8 +123,8 @@ def build_transition(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, st
 
 def build_reward(circuit: Circuit, layout: RegisterLayout, spec: MdpSpec, step: int) -> None:
     """Mark the reward of the landed state into the step's reward register."""
-    next_qubits = layout.next_qubits(step)
-    reward_qubits = layout.reward_qubits(step)
+    next_qubits = layout.register_qubits("next", step)
+    reward_qubits = layout.register_qubits("reward", step)
     if spec.rewards == tuple(range(spec.num_states)):
         # reward equals the landed state: copy it bit by bit
         for b in range(layout.reward_bits):
@@ -146,8 +146,8 @@ def build_step_chain(circuit: Circuit, layout: RegisterLayout, step: int) -> Non
     in every nonzero basis string."""
     if not 0 <= step < layout.steps - 1:
         raise ValueError(f"no step follows {step} in a {layout.steps}-step layout")
-    source = layout.next_qubits(step)
-    target = layout.state_qubits(step + 1)
+    source = layout.register_qubits("next", step)
+    target = layout.register_qubits("state", step + 1)
     for b in range(layout.state_bits):
         circuit.x(target[b], ((source[b], 1),))
 
@@ -161,9 +161,9 @@ def build_return_adder(circuit: Circuit, layout: RegisterLayout) -> None:
     unchanged; the total register is sized for steps * max reward, so the
     cascade never wraps.
     """
-    total_qubits = layout.return_qubits()
+    total_qubits = layout.register_qubits("return")
     for step in range(layout.steps):
-        reward_qubits = layout.reward_qubits(step)
+        reward_qubits = layout.register_qubits("reward", step)
         for j in range(layout.reward_bits):
             source = ((reward_qubits[j], 1),)
             for k in range(len(total_qubits) - 1, j, -1):

@@ -6,9 +6,10 @@ uncompute, flip the all-zeros state, flip the global phase, recompute. That
 product is exactly the reflection about the prepared state with eigenvalue
 +1 on it, so after k rounds a marked mass p0 sits at
 sin^2((2k+1) arcsin sqrt(p0)) and the relative weights inside the marked set
-are untouched. The report lists the marked trajectories as one trajectory
-table, built from their basis indices as readout's is, beside one column of
-their masses after the rounds.
+are untouched. Rounds, given or hinted, are bounded by ``ROUND_LIMIT``. The
+report lists the marked trajectories as one trajectory table, built from
+their basis indices as readout's is, beside one column of their masses
+after the rounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import numpy as np
 from .layout import TrajectoryTable, value_pattern
 from .mdp import _echo
 from .prepare import PreparedModel
-from .sim import ROUND_LIMIT, Circuit
+from .sim import Circuit
+
+ROUND_LIMIT = 1000  # Grover rounds per search, given or hinted: hints reach it near marked mass 6e-7
 
 
 def oracle_pattern(prepared: PreparedModel, target_return: int):
@@ -32,7 +35,7 @@ def oracle_pattern(prepared: PreparedModel, target_return: int):
     layout = prepared.layout
     if not layout.return_bits and prepared.spec.max_reward > 0:
         raise ValueError("layout has no total register to constrain")
-    return value_pattern(layout.return_qubits(), target_return)
+    return value_pattern(layout.register_qubits("return"), target_return)
 
 
 def build_oracle(prepared: PreparedModel, target_return: int) -> Circuit:
@@ -53,13 +56,14 @@ def build_diffuser(prepared: PreparedModel) -> Circuit:
 
 
 def iterations_hint(p0: float) -> int:
-    """Round count putting sin^2((2k+1) arcsin sqrt(p0)) nearest its peak,
-    never below one round. Degenerate masses (0 or 1) have no sensible
-    count and are rejected."""
+    """Round count putting sin^2((2k+1) arcsin sqrt(p0)) nearest its peak.
+    That is 0 rounds for p0 above 1/2, where one round would leave
+    p0 (3 - 4 p0)^2 < p0. Degenerate masses (0 or 1) have no sensible count
+    and are rejected."""
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"marked mass must be strictly between 0 and 1, got {p0}")
     theta = math.asin(math.sqrt(p0))
-    return max(1, round(math.pi / (4.0 * theta) - 0.5))
+    return round(math.pi / (4.0 * theta) - 0.5)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,9 @@
 Gates are simulator primitives: Hadamard, X, Ry and a pattern phase flip,
 each carrying an arbitrary multi-control pattern of (qubit, required bit)
 pairs. Controlled gates act natively on the state, never decomposed into
-smaller gates. Qubit 0 is the least significant bit of the basis index;
+smaller gates; :func:`pattern_mask` is the one decoder of a pattern into
+the basis-index test ``index & mask == want``, for both kernels and
+``pattern_items``. Qubit 0 is the least significant bit of the basis index;
 printed basis strings put the most significant qubit first. Every gate kind
 is a real matrix, so a state starting at |0...0> stays real: both backends
 store amplitudes as float64 and refuse a complex input.
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import pattern_mask
 from .mdp import _echo
 
 H = "h"
@@ -48,7 +49,6 @@ _KINDS = (H, X, RY, FLIP)
 
 DENSE_QUBIT_LIMIT = 26  # 2**26 amplitudes, 512 MiB at 8 bytes each
 SPARSE_QUBIT_LIMIT = 63  # basis indices are non-negative int64
-ROUND_LIMIT = 1000  # Grover rounds per search, given or hinted: hints reach it near marked mass 6e-7
 PRUNE_TOL = 1e-14  # sparse entries below this magnitude are dropped
 CHUNK_QUBITS = 16  # dense gates work on 2**16 amplitudes (512 KiB) at a time
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -154,6 +154,17 @@ def format_circuit(circuit: Circuit) -> str:
         controls = ",".join(f"{q}:{b}" for q, b in g.controls)
         lines.append(f"{kind} target={target} controls=[{controls}]")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def pattern_mask(pattern) -> tuple[int, int]:
+    """``(mask, want)`` such that ``index & mask == want`` exactly when the
+    basis index matches every (qubit, bit) pair of ``pattern``."""
+    mask = want = 0
+    for q, b in pattern:
+        mask |= 1 << q
+        if b:
+            want |= 1 << q
+    return mask, want
 
 
 def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
@@ -271,9 +282,9 @@ class DenseState(_StateBase):
     flagged: FLIP leaves zeros zero, and the finite matrix of H, X or Ry maps
     a zero pair to a zero pair. H, X and Ry also skip a row pair with one
     flagged row when the part of the busy row they read is zero, so they
-    write no zeros into the flagged row. A flagged row that a gate writes is
-    flagged again from its values; a busy row stays busy, so a fully busy
-    state pays no scan.
+    write no zeros into the flagged row. A row that a gate writes becomes
+    busy without a rescan, which stays sound: only a flag claims anything
+    about a row's values.
     """
 
     backend = "dense"
@@ -301,13 +312,10 @@ class DenseState(_StateBase):
         rows = self._amps.reshape((-1,) + (2,) * c)
         zero = self._zero
         index: list = [slice(None)] * c
-        mask = want = 0
         for q, b in gate.controls:
             if q < c:
                 index[c - 1 - q] = b
-            else:
-                mask |= 1 << (q - c)
-                want |= b << (q - c)
+        mask, want = (m >> c for m in pattern_mask(gate.controls))
         if gate.kind == FLIP:
             # Exact negation in place: x(-1.0) is exact on a real value. Not
             # np.negative: on numpy 2.4 it writes wrong values in place on a
@@ -339,8 +347,7 @@ class DenseState(_StateBase):
             if r0 & mask != want or (zero[r0] and zero[r1]):
                 continue
             a0, a1 = rows[r0][sel0], rows[r1][sel1]
-            flagged = zero[r0] or zero[r1]
-            if flagged and not (a1 if zero[r0] else a0).any():
+            if (zero[r0] or zero[r1]) and not (a1 if zero[r0] else a0).any():
                 continue  # the busy row reads zeros too: the pass would only fault in the flagged row
             if swap:
                 np.copyto(buf, a0)
@@ -358,10 +365,7 @@ class DenseState(_StateBase):
                 np.multiply(m11, a1, out=a1)
                 np.add(tmp, a1, out=a1)
                 np.copyto(a0, buf)
-            if flagged:
-                for r in {r0, r1}:
-                    if zero[r]:
-                        zero[r] = not rows[r].any()
+            zero[r0] = zero[r1] = False
         return self
 
     def nonzero(self):

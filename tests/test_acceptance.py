@@ -130,12 +130,12 @@ def test_c3_return_adder_exhaustive():
     layout = RegisterLayout.for_mdp(bundled_mdp(), 3)
     circuit = Circuit(layout.num_qubits)
     build_return_adder(circuit, layout)
-    return_base = layout.return_qubits()[0]
+    return_base = layout.register_qubits("return")[0]
     ok = True
     for combo in product(range(4), repeat=3):
         index = 0
         for t, r in enumerate(combo):
-            for j, q in enumerate(layout.reward_qubits(t)):
+            for j, q in enumerate(layout.register_qubits("reward", t)):
                 index |= ((r >> j) & 1) << q
         state = SparseState(layout.num_qubits, {index: 1.0})
         state.apply_circuit(circuit)

@@ -328,7 +328,8 @@ def test_search_on_a_zero_reward_model(capsys, tmp_path):
         doc = json.loads(out)
         assert [m["bitstring"] for m in doc["marked"]] == catalog
         assert doc["p0"] == pytest.approx(1.0, abs=1e-12)
-        assert doc["iterations"] == 1  # p0 sums to just below 1: the hint's floor
+        # p0 sums to just below 1, and from 1/2 up the hint is 0 rounds
+        assert (doc["iterations"], doc["p_after"]) == (0, doc["p0"])
     code, out, err = run(capsys, "search", "--mdp", str(path), "--steps", "2", "--target-return", "1")
     assert (code, out, err) == (1, "", "error: value 1 does not fit a 0-bit register\n")
 

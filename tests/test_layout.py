@@ -11,7 +11,6 @@ from qmdp.layout import (
     TrajectoryRecord,
     TrajectoryTable,
     decode_trajectory,
-    encode_index,
     value_pattern,
 )
 from qmdp.mdp import bundled_mdp
@@ -23,11 +22,16 @@ def bits_of(layout, index):
     return format(index, f"0{layout.num_qubits}b")
 
 
+def pack(layout, values):
+    """The basis index holding ``values``, one per field of ``layout.fields`` in order."""
+    return sum(value << offset for value, (offset, _) in zip(values, layout.fields))
+
+
 def test_bundled_layout_sizes(bundled):
     three = RegisterLayout.for_mdp(bundled, 3)
     assert (three.state_bits, three.action_bits, three.reward_bits) == (2, 1, 2)
     assert three.return_bits == 4  # holds up to 3 * 3 = 9
-    assert three.step_width == 7
+    assert three.fields[4] == (7, 2)  # step 1's state register follows a 7-qubit step
     assert three.num_qubits == 25
 
     one = RegisterLayout.for_mdp(bundled, 1)
@@ -42,30 +46,30 @@ def test_registers_are_disjoint_and_cover_everything(bundled):
     for t in range(3):
         for role in ("state", "action", "next", "reward"):
             seen.extend(layout.register_qubits(role, t))
-    seen.extend(layout.return_qubits())
+    seen.extend(layout.register_qubits("return"))
     assert sorted(seen) == list(range(layout.num_qubits))
-    assert layout.register_qubits("return", 0) == layout.return_qubits()
+    assert layout.register_qubits("return", 5) == layout.register_qubits("return")
     with pytest.raises(ValueError, match="^unknown register role 'total'$"):
         layout.register_qubits("total")
     for step in (-1, 3):
         with pytest.raises(ValueError, match=rf"^step {step} outside \[0, 3\)$"):
-            layout.state_qubits(step)
+            layout.register_qubits("state", step)
 
 
 def test_step_blocks_ascend_from_zero(bundled):
     layout = RegisterLayout.for_mdp(bundled, 2)
-    assert layout.state_qubits(0) == [0, 1]
-    assert layout.action_qubits(0) == [2]
-    assert layout.next_qubits(0) == [3, 4]
-    assert layout.reward_qubits(0) == [5, 6]
-    assert layout.state_qubits(1) == [7, 8]
-    assert layout.return_qubits() == [14, 15, 16]
+    assert layout.register_qubits("state", 0) == [0, 1]
+    assert layout.register_qubits("action", 0) == [2]
+    assert layout.register_qubits("next", 0) == [3, 4]
+    assert layout.register_qubits("reward", 0) == [5, 6]
+    assert layout.register_qubits("state", 1) == [7, 8]
+    assert layout.register_qubits("return") == [14, 15, 16]
 
 
 def test_known_trajectory_string_round_trips(bundled):
     layout = RegisterLayout.for_mdp(bundled, 3)
     steps = ((0, 0, 2, 2), (2, 1, 3, 3), (3, 1, 3, 3))
-    index = encode_index(layout, steps, 8)
+    index = pack(layout, [*sum(steps, ()), 8])
     bits = bits_of(layout, index)
     assert bits == "1000111111111111101010000"
     decoded = decode_trajectory(layout, bits)
@@ -108,7 +112,7 @@ def test_random_round_trips():
             steps.append((s, a, nxt, r))
             total += r
         steps = tuple(steps)
-        index = encode_index(layout, steps, total)
+        index = pack(layout, [*sum(steps, ()), total])
         rec = decode_trajectory(layout, bits_of(layout, index))
         assert (rec.steps, rec.total_return, rec.bitstring) == (steps, total, bits_of(layout, index))
         batches.setdefault(layout, []).append(index)
@@ -118,19 +122,6 @@ def test_random_round_trips():
         table = TrajectoryTable.from_indices(layout, np.array(indices, dtype=np.int64), np.ones(len(indices)))
         records = [decode_trajectory(layout, bits_of(layout, index)) for index in indices]
         assert list(table) == [TrajectoryRecord(r.steps, r.total_return, r.bitstring, 1.0) for r in records]
-
-
-def test_encode_rejects_out_of_range(bundled):
-    layout = RegisterLayout.for_mdp(bundled, 1)
-    with pytest.raises(ValueError):
-        encode_index(layout, ((4, 0, 0, 0),), 0)
-    with pytest.raises(ValueError):
-        encode_index(layout, ((0, 0, 0, 0),), 99)
-    with pytest.raises(ValueError):
-        encode_index(layout, ((0, 0, 0, 0), (0, 0, 0, 0)), 0)
-    bare = RegisterLayout.for_mdp(bundled, 1, include_return=False)
-    with pytest.raises(ValueError, match="^return -1 is negative$"):
-        encode_index(bare, ((0, 0, 0, 0),), -1)
 
 
 def test_decode_rejects_malformed_strings(bundled):
@@ -147,9 +138,9 @@ def test_zero_reward_model_has_no_reward_bits():
     layout = RegisterLayout.for_mdp(spec, 2)
     assert layout.reward_bits == 0
     assert layout.return_bits == 0
-    assert layout.reward_qubits(0) == []
+    assert layout.register_qubits("reward", 0) == []
     steps = ((0, 0, 1, 0), (1, 1, 0, 0))
-    index = encode_index(layout, steps, 0)
+    index = pack(layout, sum(steps, ()))
     decoded = decode_trajectory(layout, bits_of(layout, index))
     assert (decoded.steps, decoded.total_return) == (steps, 0)
 
@@ -180,10 +171,10 @@ def test_field_codec_matches_per_qubit_gather(seed, num_states, num_actions, max
     gathered = tuple(tuple(gather(layout.register_qubits(role, t)) for role in STEP_ROLES) for t in range(steps))
     assert record.steps == gathered
     if layout.return_bits:
-        assert record.total_return == gather(layout.return_qubits())
+        assert record.total_return == gather(layout.register_qubits("return"))
     else:
         assert record.total_return == sum(r for _, _, _, r in gathered)
-    assert encode_index(layout, record.steps, record.total_return) == index
+    assert pack(layout, [*sum(record.steps, ()), record.total_return if layout.return_bits else 0]) == index
 
     # one register pushed just out of its range
     registers = [(role, t) for t in range(steps) for role in STEP_ROLES]
@@ -192,14 +183,5 @@ def test_field_codec_matches_per_qubit_gather(seed, num_states, num_actions, max
     role, t = data.draw(st.sampled_from(registers))
     width = len(layout.register_qubits(role, t))
     bad = data.draw(st.sampled_from([-1, 1 << width]))
-    steps_in = [list(step) for step in record.steps]
-    total = record.total_return
-    if role == "return":
-        total = bad
-    else:
-        steps_in[t][STEP_ROLES.index(role)] = bad
-    message = f"value {bad} does not fit a {width}-bit register"
-    with pytest.raises(ValueError, match=message):
-        encode_index(layout, [tuple(step) for step in steps_in], total)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^value {bad} does not fit a {width}-bit register$"):
         value_pattern(layout.register_qubits(role, t), bad)

@@ -215,14 +215,14 @@ def test_adder_sums_every_reward_combination(bundled):
             for r2 in range(4):
                 index = 0
                 for t, r in enumerate((r0, r1, r2)):
-                    for j, q in enumerate(layout.reward_qubits(t)):
+                    for j, q in enumerate(layout.register_qubits("reward", t)):
                         index |= ((r >> j) & 1) << q
                 state = SparseState(layout.num_qubits, {index: 1.0})
                 state.apply_circuit(circuit)
                 items = state.nonzero_items()
                 assert len(items) == 1 and items[0][1] == 1.0
                 out = items[0][0]
-                expected = index | ((r0 + r1 + r2) << layout.return_qubits()[0])
+                expected = index | ((r0 + r1 + r2) << layout.register_qubits("return")[0])
                 assert out == expected, (r0, r1, r2)
 
 

@@ -22,13 +22,14 @@ from qmdp.mdp import MdpSpec, Transition
 from qmdp.cli import _report_json
 from qmdp.prepare import PreparedModel, build_preparation, simulate_distribution
 from qmdp.search import (
+    ROUND_LIMIT,
     build_diffuser,
     build_oracle,
     grover_search,
     iterations_hint,
     oracle_pattern,
 )
-from qmdp.sim import ROUND_LIMIT, Circuit, prepare_zero
+from qmdp.sim import PRUNE_TOL, Circuit, prepare_zero
 
 from conftest import random_mdp
 
@@ -52,7 +53,7 @@ def test_oracle_pattern_covers_requested_registers(bundled):
     prepared = fixed_start(bundled, 0)
     pattern = oracle_pattern(prepared, 8)
     assert dict(pattern) == {
-        q: (8 >> j) & 1 for j, q in enumerate(prepared.layout.return_qubits())
+        q: (8 >> j) & 1 for j, q in enumerate(prepared.layout.register_qubits("return"))
     }
 
 
@@ -180,11 +181,12 @@ def test_marked_rows_are_the_readout_rows_at_the_target(bundled, backend):
 def test_iterations_hint_values():
     assert iterations_hint(0.0375) == 4
     assert iterations_hint(45 / 256) == 1
-    assert iterations_hint(0.5) == 1
+    assert iterations_hint(0.49) == 1
+    assert iterations_hint(0.5) == 0  # one round leaves p0 (3 - 4 p0)**2, no more than p0 from 1/2 up
     # the returned count beats its neighbors on the closed form
-    for p0 in (0.0375, 45 / 256, 0.02, 0.3):
+    for p0 in (0.0375, 45 / 256, 0.02, 0.3, 0.51, 0.9, 0.9999999999999998):
         k = iterations_hint(p0)
-        candidates = {c: law(p0, c) for c in (max(1, k - 1), k, k + 1)}
+        candidates = {c: law(p0, c) for c in (max(0, k - 1), k, k + 1)}
         assert candidates[k] == max(candidates.values())
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
@@ -243,6 +245,14 @@ def test_round_counts_above_the_limit_are_refused_before_any_round(bundled, monk
         grover_search(build_preparation(rare, 2), 2)
 
 
+# How far above PRUNE_TOL**2 the enumerator probability of a pruned row may
+# sit: the circuit rounds a tiny branch's probability, most of all beside a
+# near-certain sibling. Over 40 hypothesis seeds of the fuzz below (102 557
+# marked rows), a circuit probability fell at most 8.0e-4 below the
+# enumerator's, from one branch of 1e-14; a row at the cut holds at most two.
+CUT_ROUNDING = 1e-2
+
+
 def near_certain(spec, rng):
     """The model with every row of two or more successors cut to two: one
     branch at 10**-u for u in 1-15, its sibling at the rest."""
@@ -274,25 +284,45 @@ def near_certain(spec, rng):
 )
 def test_amplification_matches_the_enumerator_on_random_models(seed, num_states, num_actions, max_reward, steps,
                                                                start, rounds, extreme, data):
-    # The model's own start is its last state, so the default start differs
-    # from "uniform" and from state 0.
-    rng = np.random.default_rng(seed)
-    spec = random_mdp(rng, num_states, num_actions, max_reward, initial=num_states - 1)
-    if extreme:
-        spec = near_certain(spec, rng)
+    spec = fuzz_model(seed, num_states, num_actions, max_reward, extreme)
     catalog = enumerate_trajectories(spec, steps, start)
     assume(len(catalog) <= 4096)  # keeps an example to a fraction of a second
-    prepared = build_preparation(spec, steps, initial=start)
-    # every return some row has, and the smallest register value none has
+    check_amplification(spec, catalog, start, rounds, lambda targets: data.draw(st.sampled_from(targets)))
+
+
+def test_a_row_pruned_a_few_ulps_above_the_cut_passes():
+    # One marked path multiplies branches of powers of ten to an enumerator
+    # probability of 1.0000000000000001e-28; the circuit rounds its amplitude
+    # to 9.999999999999956e-15, just under PRUNE_TOL, and the kernel prunes it.
+    spec = fuzz_model(2742, 8, 1, 3, extreme=True)
+    pruned = check_amplification(spec, enumerate_trajectories(spec, 4, 0), 0, 0, lambda targets: 6)
+    assert pruned == [1.0000000000000001e-28]
+
+
+def fuzz_model(seed, num_states, num_actions, max_reward, extreme):
+    """The fuzz's model. Its own start is its last state, so the default
+    start differs from "uniform" and from state 0."""
+    rng = np.random.default_rng(seed)
+    spec = random_mdp(rng, num_states, num_actions, max_reward, initial=num_states - 1)
+    return near_certain(spec, rng) if extreme else spec
+
+
+def check_amplification(spec, catalog, start, rounds, pick_target):
+    """One example of the amplification fuzz against the enumerator's
+    ``catalog``; ``pick_target`` picks the target from every return some row
+    has plus the smallest register value none has. Returns the enumerator
+    probabilities of the marked rows the sparse kernel pruned."""
+    prepared = build_preparation(spec, catalog.layout.steps, initial=start)
     returns = set(catalog.total_return.tolist())
     unreachable = [value for value in range(1 << prepared.layout.return_bits) if value not in returns][:1]
-    target = data.draw(st.sampled_from(sorted(returns) + unreachable))
+    target = pick_target(sorted(returns) + unreachable)
     report = grover_search(prepared, target, iterations=rounds)
     want = {bits: p for bits, p, total in zip(catalog.bitstrings().astype(str).tolist(), catalog.probability.tolist(),
                                               catalog.total_return.tolist()) if total == target}
     got = {m.bitstring: m for m in report.marked}
     assert set(got) <= set(want)
-    assert all(p < 1e-28 for bits, p in want.items() if bits not in got)  # below the sparse pruning cut
+    pruned = [p for bits, p in want.items() if bits not in got]
+    assert all(p < PRUNE_TOL**2 * (1 + CUT_ROUNDING) for p in pruned)  # below the sparse pruning cut
     p0 = report.probability_before
     assert p0 == pytest.approx(sum(want.values()), abs=1e-9)
     if 0.0 < p0 < 1.0:
@@ -302,6 +332,7 @@ def test_amplification_matches_the_enumerator_on_random_models(seed, num_states,
     if prepared.layout.num_qubits <= 20:
         dense = grover_search(prepared, target, backend="dense", iterations=rounds)
         assert dense.probability_after == pytest.approx(report.probability_after, abs=1e-12)
+    return pruned
 
 
 def test_backends_agree_on_search(bundled):

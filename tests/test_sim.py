@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from conftest import random_mdp
 import qmdp.sim as sim
 from qmdp import bundled_mdp
-from qmdp.layout import pattern_mask
 from qmdp.prepare import build_preparation
 from qmdp.search import build_diffuser, build_oracle
 from qmdp.sim import (
@@ -34,6 +33,7 @@ from qmdp.sim import (
     _gate_matrix,
     check_width,
     format_circuit,
+    pattern_mask,
     prepare_zero,
 )
 
