@@ -7,11 +7,15 @@ row with a running sum, no derived table. The enumerator, the ground truth
 the simulation is checked against, expands a numpy frontier one step per
 pass and returns the same :class:`~qmdp.layout.TrajectoryTable` readout
 does; no amplitudes. Q-learning and rollouts start where the model starts,
-``spec.initial``; only the enumerator takes an ``initial`` to resolve.
+``spec.initial``; only the enumerator takes an ``initial`` to resolve. Each
+of their runs draws from one :class:`_DrawStream`, which replays
+``np.random.default_rng(seed)`` draw for draw from raw PCG64 words, so a
+seed gives the Q-table and rollouts a ``Generator`` would.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +150,56 @@ class QlConfig:
     seed: int = 0
 
 
-def _draw_start(rng: np.random.Generator, spec: MdpSpec) -> int:
+_CHUNK = 1 << 10  # raw words fetched at a time; 2**16 would hold about 3 MiB of Python ints
+
+
+class _DrawStream:
+    """``np.random.default_rng(seed).random()`` and ``.integers(n)`` for
+    1 <= n <= 2**32, draw for draw, served from a list of raw PCG64 words
+    instead of one ``Generator`` call per draw.
+
+    numpy's ``random()`` is the next word's top 53 bits times 2**-53.
+    ``integers(n)`` is Lemire's bounded draw on 32-bit halves: a word's low
+    half first, its high half kept for the next ``integers`` call (``random``
+    leaves it in place, as PCG64's ``has_uint32`` buffer does), and
+    ``integers(1)`` reads nothing.
+    """
+
+    def __init__(self, seed: int):
+        raw = np.random.default_rng(seed).bit_generator.random_raw
+        chunks = map(lambda size: raw(size).tolist(), itertools.repeat(_CHUNK))
+        self._word = itertools.chain.from_iterable(chunks).__next__
+        self._half: int | None = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        threshold = (2**32 - n) % n
+        m = self._uint32() * n
+        while m & 0xFFFFFFFF < threshold:
+            m = self._uint32() * n
+        return m >> 32
+
+
+def _draw_start(rng: _DrawStream, spec: MdpSpec) -> int:
     """The fixed start ``spec.initial``, or one uniform draw over the states
     when it is None."""
     return int(rng.integers(spec.num_states)) if spec.initial is None else spec.initial
 
 
-def _draw_successor(rng: np.random.Generator, row: tuple[tuple[int, float], ...]) -> int:
+def _draw_successor(rng: _DrawStream, row: tuple[tuple[int, float], ...]) -> int:
     """Inverse CDF: the first next state whose running probability exceeds
     ``rng.random()``, else the row's last (its total may fall ulps short of 1)."""
     u, total = rng.random(), 0.0
@@ -186,14 +233,16 @@ def q_learning(spec: MdpSpec, config: QlConfig = QlConfig()) -> np.ndarray:
     ``config.horizon`` steps; actions are epsilon-greedy (greedy ties to the
     lower index); every step applies
     Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)),
-    bootstrapping at every step including the episode's last. The RNG draw
+    bootstrapping at every step including the episode's last. The draw
     order per step is fixed (explore coin, optional action draw, transition
-    draw), so a seed pins the whole run.
+    draw), and every draw comes from one :class:`_DrawStream`, equal to
+    ``np.random.default_rng(config.seed)``'s draws, so a seed pins the
+    whole run.
     """
     validated(spec)
     if config.horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {config.horizon}")
-    rng = np.random.default_rng(config.seed)
+    rng = _DrawStream(config.seed)
     q = [[0.0] * spec.num_actions for _ in range(spec.num_states)]
     successors, rewards = spec.successors, spec.rewards
     for _ in range(config.episodes):
@@ -234,13 +283,15 @@ def greedy_rollouts(
     """Run seeded greedy-policy rollouts and deduplicate the trajectories.
 
     Rollouts start from the spec's initial distribution, as in
-    :func:`q_learning`. Results sort by descending total reward, then by the
-    step tuples, so the best observed trajectory comes first.
+    :func:`q_learning`, and draw from one :class:`_DrawStream`, equal to
+    ``np.random.default_rng(seed)``'s draws. Results sort by descending
+    total reward, then by the step tuples, so the best observed trajectory
+    comes first.
     """
     validated(spec)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    rng = np.random.default_rng(seed)
+    rng = _DrawStream(seed)
     policy = greedy_policy(qtable).tolist()
     seen: dict[tuple, int] = {}
     for _ in range(trials):

@@ -121,6 +121,8 @@ def _load_spec(source: str, start: str | None):
 def _require_seed(args) -> None:
     if args.shots and args.seed is None:
         raise CliError("--shots needs --seed so the run is reproducible")
+    if args.seed is not None and args.seed < 0:  # numpy's own refusal names no flag
+        raise CliError(f"--seed must be >= 0, got {_echo(args.seed)}")
 
 
 def _write_artifact(text: str, path: str | None) -> None:
@@ -364,6 +366,7 @@ def _cmd_qlearn(args) -> int:
         raise CliError("qlearn reports are JSON; pass --format json or drop the flag")
     if args.seed is None:
         raise CliError("qlearn draws training samples; --seed is required")
+    _require_seed(args)
     if args.shots < 1:
         raise CliError(f"--shots (rollout trials) must be >= 1, got {args.shots}")
     if args.steps < 1:  # the message simulate, search and enumerate give

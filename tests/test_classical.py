@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 
 from qmdp.classical import (
     QlConfig,
+    RolloutRecord,
+    _CHUNK,
+    _DrawStream,
     _draw_successor,
     enumerate_trajectories,
     expected_return,
@@ -384,6 +387,96 @@ def test_greedy_rollouts_are_seed_deterministic(bundled):
     a = greedy_rollouts(bundled, table, 40, 3, seed=5)
     b = greedy_rollouts(bundled, table, 40, 3, seed=5)
     assert a == b
+
+
+class _CountingStream(_DrawStream):
+    """A draw stream that counts the 32-bit halves its bounded draws read."""
+
+    halves = 0
+
+    def _uint32(self):
+        self.halves += 1
+        return super()._uint32()
+
+
+def test_draw_stream_replays_the_generator_draw_for_draw():
+    # Interleaved draws over more than one chunk of raw words. At n = 2**31 + 1
+    # Lemire's rejection loop turns back about half of all first draws.
+    bounded = halves = 0
+    for seed in range(50):
+        generator, stream = np.random.default_rng(seed), _CountingStream(seed)
+        plan, randoms = np.random.default_rng([seed, 1]), 0
+        for _ in range(3 * _CHUNK):
+            if plan.random() < 0.5:
+                assert stream.random() == generator.random(), seed
+                randoms += 1
+            else:
+                n = (1, 2, 8, 2**31 + 1, int(plan.integers(1, 2**32, endpoint=True)))[plan.integers(5)]
+                assert stream.integers(n) == generator.integers(n), (seed, n)
+                bounded += n > 1
+        assert randoms > _CHUNK  # each random() reads a word of its own
+        halves += stream.halves
+    assert halves > bounded  # integers(1) reads no half, so the surplus is rejections
+
+
+def _generator_q_learning(spec, config):
+    """:func:`q_learning` as it ran on ``np.random.Generator`` calls, with its
+    two draws inlined: the reference the draw stream must replay."""
+    rng = np.random.default_rng(config.seed)
+    q = [[0.0] * spec.num_actions for _ in range(spec.num_states)]
+    for _ in range(config.episodes):
+        s = int(rng.integers(spec.num_states)) if spec.initial is None else spec.initial
+        for _ in range(config.horizon):
+            if rng.random() < config.epsilon:
+                a = int(rng.integers(spec.num_actions))
+            else:
+                a = q[s].index(max(q[s]))
+            nxt = _generator_successor(rng, spec.successors[s, a])
+            q_update(q, s, a, spec.rewards[nxt], nxt, config.alpha, config.gamma)
+            s = nxt
+    return np.array(q)
+
+
+def _generator_rollouts(spec, qtable, trials, horizon, seed):
+    """:func:`greedy_rollouts` as it ran on ``np.random.Generator`` calls."""
+    rng = np.random.default_rng(seed)
+    policy = greedy_policy(qtable).tolist()
+    seen = {}
+    for _ in range(trials):
+        s = int(rng.integers(spec.num_states)) if spec.initial is None else spec.initial
+        steps = []
+        for _ in range(horizon):
+            a = policy[s]
+            nxt = _generator_successor(rng, spec.successors[s, a])
+            steps.append((s, a, nxt, spec.rewards[nxt]))
+            s = nxt
+        seen[tuple(steps)] = seen.get(tuple(steps), 0) + 1
+    records = [RolloutRecord(k, sum(r for _, _, _, r in k), c) for k, c in seen.items()]
+    return sorted(records, key=lambda rec: (-rec.total_reward, rec.steps))
+
+
+def _generator_successor(rng, row):
+    u, total = rng.random(), 0.0
+    for nxt, p in row:
+        total += p
+        if total > u:
+            break
+    return nxt
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+@pytest.mark.parametrize("start", ["uniform", "fixed"])
+def test_q_learning_and_rollouts_equal_the_generator_loops(start, horizon):
+    # (seed, states, actions): a 1-state model draws integers(1) for a uniform
+    # start, a 1-action model for every explore step.
+    for seed, num_states, num_actions in [(0, 4, 2), (1, 8, 2), (2, 3, 3), (3, 1, 2), (4, 5, 1)]:
+        spec = random_mdp(np.random.default_rng(seed), num_states, num_actions)
+        spec = resolve_start(spec, "uniform" if start == "uniform" else seed % num_states)
+        config = QlConfig(episodes=700, horizon=horizon, seed=seed)
+        table = q_learning(spec, config)
+        assert table.tobytes() == _generator_q_learning(spec, config).tobytes(), seed
+        records = greedy_rollouts(spec, table, trials=300, horizon=horizon, seed=seed + 1)
+        assert records == _generator_rollouts(spec, table, 300, horizon, seed + 1), seed
 
 
 class _FixedDraw:

@@ -408,6 +408,18 @@ def test_sampling_requires_seed(capsys):
         assert "seed" in err
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["simulate", "--shots", "3"], "-2"),
+    (["search", "--target-return", "8", "--shots", "3"], "-2"),
+    (["qlearn"], "-1"),
+], ids=["simulate", "search", "qlearn"])
+def test_a_negative_seed_is_refused_by_name(capsys, argv, seed):
+    code, out, err = run(capsys, *argv, "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --seed must be >= 0, got {seed}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["search"], "search needs --target-return (an integer or 'max')"),
     (["qlearn", "--seed", "1", "--format", "csv"], "qlearn reports are JSON; pass --format json or drop the flag"),
